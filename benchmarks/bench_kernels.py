@@ -2,12 +2,16 @@
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
 Each kernel is timed on a realistic workload after a warm-up call (the
 warm-up also absorbs numba's compilation cost). Results are printed as
 a small table of best-of-repeats wall times plus the speedup ratio, and
-the two paths' outputs are checked for bitwise agreement first.
+the two paths' outputs are checked for bitwise agreement first. When
+numba does not import, only the numpy path is timed.
+
+For end-to-end and per-layer timings of the whole pipeline, use
+`python3 perfbench/run.py --workload model --trace 1`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import time
 
 import numpy as np
 
-from prtail.accel import get_impls
+from prtail.accel import HAVE_NUMBA, get_impls
 from prtail.rng import stream
 
 REPEATS = 5
@@ -71,8 +75,15 @@ WORKLOADS = {
 
 
 def main() -> int:
-    numba_impls = get_impls("numba")
     numpy_impls = get_impls("numpy")
+    if not HAVE_NUMBA:
+        print("numba is not installed: timing the numpy path alone")
+        print(f"{'kernel':<14} {'numpy':>10}")
+        for name, build in WORKLOADS.items():
+            t_np = best_of(numpy_impls[name], *build())
+            print(f"{name:<14} {t_np * 1e3:>8.2f}ms")
+        return 0
+    numba_impls = get_impls("numba")
     print(f"{'kernel':<14} {'numba':>10} {'numpy':>10} {'speedup':>9}")
     for name, build in WORKLOADS.items():
         args = build()

@@ -52,15 +52,11 @@ class FactorPrediction:
 def factor(c: float, d: float, alpha: float) -> FactorPrediction:
     """Exact evaluation of y(c) = c^a / (d^a - c^a d).
 
+    The parameters must be finite and admissible, as for ModelParams.
     The denominator is positive throughout the admissible range
     (c < 1 < d gives d^(a-1) > 1 > c^a), so y > 0 always.
     """
-    if not 0 < c < 1:
-        raise ParameterError(f"c must lie in (0, 1), got {c}")
-    if not d > 1:
-        raise ParameterError(f"d must exceed 1, got {d}")
-    if not alpha > 1:
-        raise ParameterError(f"alpha must exceed 1, got {alpha}")
+    ModelParams(c=c, d=d, alpha=alpha)  # raises ParameterError outside the domain
     y = c**alpha / (d**alpha - c**alpha * d)
     return FactorPrediction(c=c, d=d, alpha=alpha, y=y)
 

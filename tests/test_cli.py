@@ -155,6 +155,15 @@ def test_model_invalid_alpha_is_parameter_error(tmp_path):
     assert rc == 2
 
 
+def test_model_non_finite_d_is_parameter_error(tmp_path, capsys):
+    rc = main(
+        ["model", "--c", "0.5", "--d", "inf", "--pool", "1000", "--generations", "1",
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert "d must be finite" in capsys.readouterr().err
+
+
 def test_generate_gn_command(tmp_path):
     out = tmp_path / "out"
     rc = main(

@@ -26,6 +26,11 @@ def test_model_params_validation():
         dict(c=1.0, d=8.2, alpha=1.1),
         dict(c=0.5, d=1.0, alpha=1.1),
         dict(c=0.5, d=8.2, alpha=1.0),
+        dict(c=0.5, d=float("inf"), alpha=1.1),
+        dict(c=0.5, d=8.2, alpha=float("inf")),
+        dict(c=float("nan"), d=8.2, alpha=1.1),
+        dict(c=0.5, d=float("nan"), alpha=1.1),
+        dict(c=0.5, d=8.2, alpha=float("nan")),
     ):
         with pytest.raises(ParameterError):
             ModelParams(**bad)
@@ -100,6 +105,98 @@ def test_ks_distance_against_scipy():
     rng = np.random.default_rng(0)
     a, b = rng.random(500), rng.random(700) ** 1.3
     assert ks_distance(a, b) == pytest.approx(ks_2samp(a, b).statistic, abs=1e-12)
+
+
+def _ks_reference(a, b):
+    # pooled-grid formula: both right-continuous CDFs at every sample value
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+def test_ks_distance_bit_identical_on_heavy_ties():
+    rng = np.random.default_rng(11)
+    for levels in (1, 2, 3, 7):
+        for _ in range(50):
+            a = rng.integers(0, levels, rng.integers(1, 60)).astype(float)
+            b = rng.integers(0, levels, rng.integers(1, 60)).astype(float)
+            assert ks_distance(a, b) == _ks_reference(a, b)
+    # signed zeros compare equal and must share one tie run
+    assert ks_distance(np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0])) == _ks_reference(
+        np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0])
+    )
+
+
+def test_ks_distance_bit_identical_on_unequal_sizes():
+    rng = np.random.default_rng(12)
+    for na, nb in ((3, 1000), (1000, 3), (999, 1000), (7, 13)):
+        a = rng.pareto(1.1, na)
+        b = np.round(rng.pareto(1.1, nb), 1)
+        assert ks_distance(a, b) == _ks_reference(a, b)
+
+
+def test_ks_distance_bit_identical_on_single_values():
+    for a, b in (([1.0], [1.0]), ([1.0], [2.0]), ([2.0], [1.0]), ([1.0], [0.0, 1.0, 2.0])):
+        a, b = np.array(a), np.array(b)
+        assert ks_distance(a, b) == _ks_reference(a, b)
+        assert ks_distance(b, a) == _ks_reference(b, a)
+
+
+def test_ks_distance_bit_identical_with_infinities():
+    inf = np.inf
+    cases = (
+        ([-inf, 0.0, inf], [inf, inf]),
+        ([inf], [inf]),
+        ([-inf, -inf, 1.0], [-inf, 2.0, inf, inf]),
+        ([1.0, 2.0], [-inf]),
+    )
+    for a, b in cases:
+        a, b = np.array(a), np.array(b)
+        assert ks_distance(a, b) == _ks_reference(a, b)
+
+
+def test_ks_distance_bit_identical_on_generation_pools():
+    params = ModelParams(c=0.9, d=8.2, alpha=1.1)
+    model = params.in_degree_model()
+    pool = initial_pool(5000)
+    for g in range(1, 6):
+        nxt = iterate_generation(pool, params, model, 5000, seed=40 + g)
+        before = (nxt.samples.copy(), pool.samples.copy())
+        assert ks_distance(nxt.samples, pool.samples) == _ks_reference(nxt.samples, pool.samples)
+        # the inputs are left as they were
+        assert np.array_equal(nxt.samples, before[0]) and np.array_equal(pool.samples, before[1])
+        pool = nxt
+
+
+def test_solve_r_ks_column_matches_reference():
+    params = ModelParams(c=0.5, d=8.2, alpha=1.1)
+    model = params.in_degree_model()
+    result = solve_r(params, model, pool_size=2000, generations=6, seed=21)
+    pool = initial_pool(2000)
+    for row in result.diagnostics:
+        g = row.generation
+        # generation g is seeded as the last generation of a g-generation run
+        nxt = iterate_generation(pool, params, model, 2000, final_generation_seed(21, g))
+        assert row.ks == _ks_reference(nxt.samples, pool.samples)
+        pool = nxt
+    assert np.array_equal(pool.samples, result.values)
+
+
+def test_ks_distance_rejects_nan_and_bad_shapes():
+    for a, b in (
+        ([np.nan], [1.0]),
+        ([1.0], [0.0, np.nan]),
+        ([np.nan, np.nan], [np.nan]),
+    ):
+        with pytest.raises(ParameterError):
+            ks_distance(np.array(a), np.array(b))
+    with pytest.raises(ParameterError):
+        ks_distance(np.ones((2, 2)), np.ones(4))
+    with pytest.raises(ParameterError):
+        ks_distance(np.ones(0), np.ones(4))
 
 
 def test_solve_r_reproducible_and_tagged():

@@ -57,6 +57,11 @@ def test_factor_domain_errors():
         dict(c=1.0, d=8.2, alpha=1.1),
         dict(c=0.5, d=1.0, alpha=1.1),
         dict(c=0.5, d=8.2, alpha=1.0),
+        dict(c=0.5, d=float("inf"), alpha=1.1),
+        dict(c=0.5, d=8.2, alpha=float("inf")),
+        dict(c=float("nan"), d=8.2, alpha=1.1),
+        dict(c=0.5, d=float("nan"), alpha=1.1),
+        dict(c=0.5, d=8.2, alpha=float("nan")),
     ):
         with pytest.raises(ParameterError):
             factor(**bad)
