@@ -1,4 +1,5 @@
-"""Time the numba kernels against their pure-numpy fallbacks.
+"""Time the numba kernels against their pure-numpy fallbacks, and the
+growth kernel.
 
 Run from the repository root:
 
@@ -8,7 +9,9 @@ Each kernel is timed on a realistic workload after a warm-up call (the
 warm-up also absorbs numba's compilation cost). Results are printed as
 a small table of best-of-repeats wall times plus the speedup ratio, and
 the two paths' outputs are checked for bitwise agreement first. When
-numba does not import, only the numpy path is timed.
+numba does not import, only the numpy path is timed. gn_links has one
+implementation for both paths, so it is timed once, with no agreement
+check.
 
 For end-to-end and per-layer timings of the whole pipeline, use
 `python3 perfbench/run.py --workload model --trace 1`.
@@ -20,7 +23,7 @@ import time
 
 import numpy as np
 
-from prtail.accel import HAVE_NUMBA, get_impls
+from prtail.accel import HAVE_NUMBA, get_impls, gn_links
 from prtail.rng import stream
 
 REPEATS = 5
@@ -63,14 +66,11 @@ def workload_segment_sums():
     return (pool, idx, counts)
 
 
-def workload_gn_links():
-    return (200_000, 8, 0.2, 987654321)
-
+GN_LINKS_ARGS = (200_000, 8, 0.2, 987654321)
 
 WORKLOADS = {
     "edge_push": workload_edge_push,
     "segment_sums": workload_segment_sums,
-    "gn_links": workload_gn_links,
 }
 
 
@@ -82,15 +82,17 @@ def main() -> int:
         for name, build in WORKLOADS.items():
             t_np = best_of(numpy_impls[name], *build())
             print(f"{name:<14} {t_np * 1e3:>8.2f}ms")
-        return 0
-    numba_impls = get_impls("numba")
-    print(f"{'kernel':<14} {'numba':>10} {'numpy':>10} {'speedup':>9}")
-    for name, build in WORKLOADS.items():
-        args = build()
-        check_agreement(name, numba_impls[name](*args), numpy_impls[name](*args))
-        t_nb = best_of(numba_impls[name], *args)
-        t_np = best_of(numpy_impls[name], *args)
-        print(f"{name:<14} {t_nb * 1e3:>8.2f}ms {t_np * 1e3:>8.2f}ms {t_np / t_nb:>8.2f}x")
+    else:
+        numba_impls = get_impls("numba")
+        print(f"{'kernel':<14} {'numba':>10} {'numpy':>10} {'speedup':>9}")
+        for name, build in WORKLOADS.items():
+            args = build()
+            check_agreement(name, numba_impls[name](*args), numpy_impls[name](*args))
+            t_nb = best_of(numba_impls[name], *args)
+            t_np = best_of(numpy_impls[name], *args)
+            print(f"{name:<14} {t_nb * 1e3:>8.2f}ms {t_np * 1e3:>8.2f}ms {t_np / t_nb:>8.2f}x")
+    t_gn = best_of(gn_links, *GN_LINKS_ARGS)
+    print(f"{'gn_links':<14} {t_gn * 1e3:>8.2f}ms (one path)")
     return 0
 
 

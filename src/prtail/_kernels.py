@@ -2,14 +2,9 @@
 
 Every function here is plain Python over numpy arrays and compiles
 under numba's nopython mode unchanged. The accel module decides per
-process whether to run the compiled or the interpreted/vectorized
-variants; see accel.py for the dispatch rules.
-
-The growing-network kernel draws its randomness through the legacy
-np.random.random() generator (seeded inside the kernel) because the
-state must interleave with the sequential attachment logic. numba
-reproduces the exact Mersenne Twister stream of CPython numpy for the
-same seed, so both execution paths emit identical graphs.
+process whether to run the compiled loops or its vectorized numpy
+equivalents; see accel.py for the dispatch rules. The growth kernel
+is not here: accel.gn_links is one implementation for both paths.
 """
 
 from __future__ import annotations
@@ -36,76 +31,3 @@ def segment_sums_loop(pool, idx, counts):
             pos += 1
         out[i] = s
     return out
-
-
-def gn_links_loop(n, d, beta, seed):
-    """Edge arrays for the mixed uniform/preferential growth process.
-
-    Nodes 0..d-1 exist at the start. Each later node t picks d distinct
-    targets among the existing t nodes: uniform with probability beta,
-    else proportional to current in-degree (uniform while all in-degrees
-    are zero). In-degrees update only after all d links of a node are
-    placed. At the end the first d nodes each link to d distinct
-    uniformly random other nodes.
-    """
-    np.random.seed(seed)
-    m = n * d
-    src = np.empty(m, dtype=np.int64)
-    dst = np.empty(m, dtype=np.int64)
-    # every placed link appends its target here; a uniform pick from the
-    # filled prefix is exactly an in-degree-proportional pick
-    hits = np.empty(m, dtype=np.int64)
-    n_hits = 0
-    e = 0
-    chosen = np.empty(d, dtype=np.int64)
-    for t in range(d, n):
-        picked = 0
-        while picked < d:
-            u = np.random.random()
-            if u < beta or n_hits == 0:
-                v = int(np.random.random() * t)
-                if v >= t:
-                    v = t - 1
-            else:
-                h = int(np.random.random() * n_hits)
-                if h >= n_hits:
-                    h = n_hits - 1
-                v = hits[h]
-            duplicate = False
-            for q in range(picked):
-                if chosen[q] == v:
-                    duplicate = True
-                    break
-            if duplicate:
-                continue
-            chosen[picked] = v
-            picked += 1
-        for q in range(d):
-            src[e] = t
-            dst[e] = chosen[q]
-            hits[n_hits] = chosen[q]
-            n_hits += 1
-            e += 1
-    # closing wiring: out-degree d for the initial nodes, self excluded
-    for i in range(d):
-        picked = 0
-        while picked < d:
-            v = int(np.random.random() * n)
-            if v >= n:
-                v = n - 1
-            if v == i:
-                continue
-            duplicate = False
-            for q in range(picked):
-                if chosen[q] == v:
-                    duplicate = True
-                    break
-            if duplicate:
-                continue
-            chosen[picked] = v
-            picked += 1
-        for q in range(d):
-            src[e] = i
-            dst[e] = chosen[q]
-            e += 1
-    return src, dst

@@ -1,15 +1,16 @@
-"""Kernel dispatch: numba-compiled loops or pure-numpy fallbacks.
+"""Kernel dispatch: numba-compiled loops or pure-numpy fallbacks, and
+the growth kernel.
 
-The compiled path is used when numba imports cleanly and the
-environment variable PRTAIL_DISABLE_NUMBA is unset (or set to one of
-"", "0", "false"). Set PRTAIL_DISABLE_NUMBA=1 to force the numpy path.
+The compiled path of edge_push and segment_sums is used when numba
+imports cleanly and the environment variable PRTAIL_DISABLE_NUMBA is
+unset (or set to one of "", "0", "false"). Set PRTAIL_DISABLE_NUMBA=1
+to force the numpy path. Both paths produce bitwise-identical results:
+the vectorized fallbacks (np.bincount) accumulate float64 values in the
+same order as the explicit loops.
 
-Both paths produce bitwise-identical results: the vectorized fallbacks
-(np.bincount) accumulate float64 values in the same order as the
-explicit loops, and the growth kernel runs the very same source either
-compiled or interpreted. The numpy fallback of the growth kernel
-temporarily seeds the global legacy RandomState and restores it
-afterwards; the compiled variant keeps its own internal state.
+gn_links has one implementation on both backends: a Python loop over
+uniforms drawn in blocks from its own legacy RandomState, so it never
+touches the global np.random state.
 
 benchmarks/bench_kernels.py times the two paths against each other via
 get_impls().
@@ -18,6 +19,8 @@ get_impls().
 from __future__ import annotations
 
 import os
+from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -57,18 +60,9 @@ def _segment_sums_numpy(pool, idx, counts):
     return np.bincount(seg, weights=pool[idx], minlength=n)
 
 
-def _gn_links_numpy(n, d, beta, seed):
-    state = np.random.get_state()
-    try:
-        return _kernels.gn_links_loop(n, d, beta, seed)
-    finally:
-        np.random.set_state(state)
-
-
 _NUMPY_IMPLS = {
     "edge_push": _edge_push_numpy,
     "segment_sums": _segment_sums_numpy,
-    "gn_links": _gn_links_numpy,
 }
 
 _numba_impls: dict | None = None
@@ -83,7 +77,6 @@ def _build_numba_impls() -> dict:
         _numba_impls = {
             "edge_push": jit(_kernels.edge_push_loop),
             "segment_sums": jit(_kernels.segment_sums_loop),
-            "gn_links": jit(_kernels.gn_links_loop),
         }
     return _numba_impls
 
@@ -105,5 +98,64 @@ def segment_sums(pool, idx, counts):
     return get_impls(backend())["segment_sums"](pool, idx, counts)
 
 
+# uniforms drawn per refill; the legacy stream is the same whatever the
+# block size, only memory and call overhead depend on it
+_DRAW_BLOCK = 1 << 16
+
+
+def _uniforms(seed):
+    """The np.random.seed(seed); np.random.random() stream, one float
+    per next() call, from a private RandomState."""
+    rs = np.random.RandomState(seed)
+    return chain.from_iterable(iter(lambda: rs.random_sample(_DRAW_BLOCK).tolist(), None)).__next__
+
+
 def gn_links(n, d, beta, seed):
-    return get_impls(backend())["gn_links"](n, d, beta, seed)
+    """Edge arrays for the mixed uniform/preferential growth process.
+
+    Nodes 0..d-1 exist at the start. Each later node t picks d distinct
+    targets among the existing t nodes: uniform with probability beta,
+    else proportional to current in-degree (uniform while all in-degrees
+    are zero). In-degrees update only after all d links of a node are
+    placed. At the end the first d nodes each link to d distinct
+    uniformly random other nodes.
+
+    Every growth attempt takes two uniforms of the legacy Mersenne
+    Twister stream seeded with `seed`, and every closing attempt one,
+    so the graph is a pure function of (n, d, beta, seed).
+    """
+    draw = _uniforms(seed)
+    # targets in placement order; at node t the first (t-d)*d entries
+    # are every earlier link, so a uniform pick among them is exactly an
+    # in-degree-proportional pick
+    dst = array("q")
+    for t in range(d, n):
+        n_hits = len(dst)
+        chosen = []
+        while len(chosen) < d:
+            u = draw()
+            x = draw()
+            if u < beta or n_hits == 0:
+                v = int(x * t)
+                if v >= t:
+                    v = t - 1
+            else:
+                h = int(x * n_hits)
+                if h >= n_hits:
+                    h = n_hits - 1
+                v = dst[h]
+            if v not in chosen:
+                chosen.append(v)
+        dst.extend(chosen)
+    # closing wiring: out-degree d for the initial nodes, self excluded
+    for i in range(d):
+        chosen = []
+        while len(chosen) < d:
+            v = int(draw() * n)
+            if v >= n:
+                v = n - 1
+            if v != i and v not in chosen:
+                chosen.append(v)
+        dst.extend(chosen)
+    src = np.repeat(np.r_[d:n, 0:d], d)
+    return src, np.frombuffer(dst, dtype=np.int64)

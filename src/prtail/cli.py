@@ -103,9 +103,9 @@ def _observed_offset(r_values, n_values):
 
 
 def cmd_pagerank(args) -> int:
-    out = _prepare_out(args.out)
     g = load_edge_list(args.graph, keep_duplicates=args.keep_duplicates)
     pv = pagerank(g, c=args.c, tol=args.tol, dangling=args.dangling)
+    out = _prepare_out(args.out)
     outputs = ["pagerank.txt"]
     save_pagerank(pv, g, os.path.join(out, "pagerank.txt"))
     _save_tail_artifacts(pv.values, "pagerank", out, args.xmin_fraction, outputs)
@@ -133,8 +133,8 @@ def cmd_pagerank(args) -> int:
 
 
 def cmd_model(args) -> int:
-    out = _prepare_out(args.out)
     params = ModelParams(c=args.c, d=args.d, alpha=args.alpha)
+    out = _prepare_out(args.out)
     model = params.in_degree_model()
     result = solve_r(params, model, pool_size=args.pool, generations=args.generations, seed=args.seed)
     # reference N(T) draws reuse the final generation's degree stream so
@@ -187,8 +187,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_generate_gn(args) -> int:
-    out = _prepare_out(args.out)
     params = GrowthParams(beta=args.beta, d=args.d, n_final=args.n, seed=args.seed)
+    out = _prepare_out(args.out)
     g = generate(params)
     write_edge_list(g, os.path.join(out, "edges.txt"))
     _write_manifest(
@@ -211,11 +211,12 @@ def _parse_c_grid(text: str) -> list:
 
 
 def cmd_compare(args) -> int:
-    out = _prepare_out(args.out)
     c_grid = _parse_c_grid(args.c)
+    # every grid value is checked before the first solve starts
+    grid_params = [ModelParams(c=c, d=args.d, alpha=args.alpha) for c in c_grid]
+    out = _prepare_out(args.out)
     rows = []
-    for c in c_grid:
-        params = ModelParams(c=c, d=args.d, alpha=args.alpha)
+    for c, params in zip(c_grid, grid_params):
         model = params.in_degree_model()
         result = solve_r(
             params, model, pool_size=args.pool, generations=args.generations, seed=args.seed

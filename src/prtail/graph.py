@@ -13,6 +13,8 @@ relaxed.
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +27,11 @@ from .samples import SampleSet
 DANGLING_POLICIES = ("redistribute", "drop")
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
+_MAX_ID = np.iinfo(np.int64).max
+# rows per formatted chunk of the writers: one join per chunk keeps the
+# text of a few MB in memory, not the whole file
+_WRITE_CHUNK = 1 << 16
+_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
 
 
 @dataclass(frozen=True)
@@ -74,21 +81,66 @@ def from_edges(src, dst, n: int | None = None, original_ids=None) -> DirectedGra
         raise ParameterError("graph must have at least one edge")
     if n is None:
         n = int(max(src.max(), dst.max())) + 1
-    order = np.lexsort((dst, src))
+    # same permutation as np.lexsort((dst, src)) for ids in [0, n)
+    order = np.argsort(src * np.int64(n) + dst, kind="stable")
     if original_ids is None:
         original_ids = np.arange(n, dtype=np.int64)
     return DirectedGraph(n=n, src=src[order], dst=dst[order], original_ids=original_ids)
 
 
-def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
-    """Graph from "src dst" text; '#' lines are comments.
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a nonempty 1-d array: sort, keep the first of each run."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
-    Node ids may be arbitrary nonnegative integers; they are remapped
-    to dense [0, n) in ascending order with the mapping kept on the
-    graph. Duplicate edges collapse unless keep_duplicates is set.
-    """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
+
+def _plain_text(text: str) -> bool:
+    """True when the text holds only tab, LF, CR and printable ASCII, with
+    every CR in a CRLF: np.loadtxt splits such text into lines and tokens
+    as str.splitlines and str.split do."""
+    return (
+        text.isascii()
+        and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+        and text.count("\r") == text.count("\r\n")
+    )
+
+
+def _has_inline_comment(text: str) -> bool:
+    """True when a '#' follows data on its line."""
+    pos = text.find("#")
+    while pos >= 0:
+        if text[text.rfind("\n", 0, pos) + 1 : pos].strip():
+            return True
+        end = text.find("\n", pos)
+        if end < 0:
+            return False
+        pos = text.find("#", end)
+    return False
+
+
+def _table_columns(text: str):
+    """(src, dst) id columns read by np.loadtxt, or None wherever the
+    line loop must decide: text that is not plain, an inline '#', any
+    loadtxt error or warning, a shape other than (k, 2), a negative id."""
+    if not _plain_text(text) or _has_inline_comment(text):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if table.shape[1:] != (2,) or table.size == 0 or table.min() < 0:
+        return None
+    return table[:, 0], table[:, 1]
+
+
+def _line_columns(lines):
+    """(src, dst) id columns of "src dst" lines, raising ParseError on
+    the first bad line."""
     raw_src, raw_dst = [], []
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -103,34 +155,63 @@ def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
             raise ParseError(f"non-integer node id in {stripped!r}", line_number=number) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative node id in {stripped!r}", line_number=number)
+        if u > _MAX_ID or v > _MAX_ID:
+            raise ParseError(f"node id above {_MAX_ID} in {stripped!r}", line_number=number)
         raw_src.append(u)
         raw_dst.append(v)
     if not raw_src:
         raise ParameterError("edge list contains no edges")
-    raw_src = np.asarray(raw_src, dtype=np.int64)
-    raw_dst = np.asarray(raw_dst, dtype=np.int64)
-    original_ids = np.unique(np.concatenate([raw_src, raw_dst]))
+    return np.asarray(raw_src, dtype=np.int64), np.asarray(raw_dst, dtype=np.int64)
+
+
+def _graph_from_ids(raw_src, raw_dst, keep_duplicates: bool) -> DirectedGraph:
+    original_ids = _sorted_unique(np.concatenate([raw_src, raw_dst]))
     src = np.searchsorted(original_ids, raw_src)
     dst = np.searchsorted(original_ids, raw_dst)
     n = original_ids.size
     if not keep_duplicates:
-        keys = np.unique(src * np.int64(n) + dst)
+        keys = _sorted_unique(src * np.int64(n) + dst)
         src, dst = keys // n, keys % n
     return from_edges(src, dst, n=n, original_ids=original_ids)
 
 
+def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
+    """Graph from "src dst" text; '#' lines are comments.
+
+    Node ids may be arbitrary integers in [0, 2**63); they are remapped
+    to dense [0, n) in ascending order with the mapping kept on the
+    graph. Duplicate edges collapse unless keep_duplicates is set.
+    `lines` is one string (split with str.splitlines) or an iterable
+    of lines.
+    """
+    if isinstance(lines, str):
+        columns = _table_columns(lines) or _line_columns(lines.splitlines())
+    else:
+        columns = _line_columns(lines)
+    return _graph_from_ids(*columns, keep_duplicates)
+
+
 def load_edge_list(path, keep_duplicates: bool = False) -> DirectedGraph:
+    """parse_edge_list of a file, whose lines end at newlines only."""
     with open(path) as fh:
-        return parse_edge_list(fh, keep_duplicates=keep_duplicates)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not a text file: {exc}") from None
+    # StringIO, like the file, breaks lines at "\n" alone, where
+    # str.splitlines would also break them at "\x0c", "\x85" and others
+    columns = _table_columns(text) or _line_columns(io.StringIO(text))
+    return _graph_from_ids(*columns, keep_duplicates)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Edge lines under original ids; parse_edge_list round-trips it."""
     with open(path, "w") as fh:
         fh.write(f"# directed edge list: {g.n} nodes, {g.m} edges\n")
-        ids = g.original_ids
-        for u, v in zip(g.src, g.dst):
-            fh.write(f"{ids[u]} {ids[v]}\n")
+        for start in range(0, g.m, _WRITE_CHUNK):
+            src = g.original_ids[g.src[start : start + _WRITE_CHUNK]].tolist()
+            dst = g.original_ids[g.dst[start : start + _WRITE_CHUNK]].tolist()
+            fh.write("".join(f"{u} {v}\n" for u, v in zip(src, dst)))
 
 
 @dataclass(frozen=True)
@@ -193,8 +274,10 @@ def save_pagerank(pv: PageRankVector, g: DirectedGraph, path) -> None:
         fh.write(f"# iterations: {pv.iterations}\n")
         fh.write(f"# residual: {pv.residual!r}\n")
         fh.write(f"# converged: {'true' if pv.converged else 'false'}\n")
-        for node, value in zip(g.original_ids, pv.values):
-            fh.write(f"{node} {float(value)!r}\n")
+        for start in range(0, g.n, _WRITE_CHUNK):
+            nodes = g.original_ids[start : start + _WRITE_CHUNK].tolist()
+            values = pv.values[start : start + _WRITE_CHUNK].tolist()
+            fh.write("".join(f"{node} {value!r}\n" for node, value in zip(nodes, values)))
 
 
 def degree_histograms(g: DirectedGraph) -> tuple[SampleSet, SampleSet]:

@@ -65,6 +65,14 @@ def test_pagerank_malformed_graph_is_parse_error(tmp_path):
     assert rc == 3
 
 
+def test_pagerank_huge_node_id_is_parse_error(tmp_path, capsys):
+    graph = tmp_path / "huge.txt"
+    graph.write_text("0 99999999999999999999\n")
+    rc = main(["pagerank", str(graph), "--c", "0.85", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_pagerank_bad_damping_is_parameter_error(tmp_path):
     graph = tmp_path / "star.txt"
     graph.write_text(STAR)
@@ -239,3 +247,20 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--c", "0.5", "--d", "inf", "--pool", "1000", "--generations", "1"],
+        ["compare", "--c", "0.5,nan", "--pool", "1000", "--generations", "1"],
+        ["compare", "--c", "0.5,x", "--pool", "1000", "--generations", "1"],
+        ["generate-gn", "--beta", "0.2", "--d", "8", "--n", "8"],
+        ["pagerank", "missing.txt", "--c", "0.85"],
+    ],
+)
+def test_rejected_run_leaves_no_directory(tmp_path, argv):
+    out = tmp_path / "out"
+    argv = [str(tmp_path / a) if a == "missing.txt" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) in (2, 3)
+    assert not out.exists()

@@ -104,3 +104,12 @@ def test_more_uniform_mixing_lightens_the_tail():
     heavy_fit = fit_tail_fraction(heavy.in_degree[heavy.in_degree > 0].astype(float), 0.1)
     light_fit = fit_tail_fraction(light.in_degree[light.in_degree > 0].astype(float), 0.1)
     assert heavy_fit.alpha_ccdf < light_fit.alpha_ccdf
+
+
+def test_generate_leaves_global_random_state_untouched():
+    np.random.seed(999)
+    before = np.random.random(3)
+    np.random.seed(999)
+    generate(GrowthParams(beta=0.5, d=3, n_final=100, seed=7))
+    after = np.random.random(3)
+    assert np.array_equal(before, after)

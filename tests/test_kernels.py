@@ -1,4 +1,4 @@
-"""Compiled and fallback kernel paths must agree bit for bit."""
+"""Compiled and fallback kernel paths must agree bit for bit, and the\none growth kernel must reproduce its reference loop."""
 
 import os
 import subprocess
@@ -67,23 +67,101 @@ def test_segment_sums_zero_counts():
     assert np.array_equal(a, [0.0, 3.0, 0.0, 7.0])
 
 
-@needs_numba
-def test_gn_links_bitwise_parity():
-    numpy_impls, numba_impls = _paths()
-    a_src, a_dst = numpy_impls["gn_links"](400, 4, 0.3, 12345)
-    b_src, b_dst = numba_impls["gn_links"](400, 4, 0.3, 12345)
-    assert np.array_equal(a_src, b_src)
-    assert np.array_equal(a_dst, b_dst)
+def _gn_links_reference(n, d, beta, seed):
+    """The growth kernel as one interpreted loop over np.random.random(),
+    as it ran before it drew its uniforms in blocks; the global state is
+    put back afterwards."""
+    state = np.random.get_state()
+    np.random.seed(seed)
+    try:
+        m = n * d
+        src = np.empty(m, dtype=np.int64)
+        dst = np.empty(m, dtype=np.int64)
+        hits = np.empty(m, dtype=np.int64)
+        n_hits = 0
+        e = 0
+        chosen = np.empty(d, dtype=np.int64)
+        for t in range(d, n):
+            picked = 0
+            while picked < d:
+                u = np.random.random()
+                if u < beta or n_hits == 0:
+                    v = int(np.random.random() * t)
+                    if v >= t:
+                        v = t - 1
+                else:
+                    h = int(np.random.random() * n_hits)
+                    if h >= n_hits:
+                        h = n_hits - 1
+                    v = hits[h]
+                duplicate = False
+                for q in range(picked):
+                    if chosen[q] == v:
+                        duplicate = True
+                        break
+                if duplicate:
+                    continue
+                chosen[picked] = v
+                picked += 1
+            for q in range(d):
+                src[e] = t
+                dst[e] = chosen[q]
+                hits[n_hits] = chosen[q]
+                n_hits += 1
+                e += 1
+        for i in range(d):
+            picked = 0
+            while picked < d:
+                v = int(np.random.random() * n)
+                if v >= n:
+                    v = n - 1
+                if v == i:
+                    continue
+                duplicate = False
+                for q in range(picked):
+                    if chosen[q] == v:
+                        duplicate = True
+                        break
+                if duplicate:
+                    continue
+                chosen[picked] = v
+                picked += 1
+            for q in range(d):
+                src[e] = i
+                dst[e] = chosen[q]
+                e += 1
+        return src, dst
+    finally:
+        np.random.set_state(state)
 
 
-@needs_numba
-def test_gn_links_numpy_path_restores_global_state():
-    np.random.seed(999)
-    before = np.random.random(3)
-    np.random.seed(999)
-    accel.get_impls("numpy")["gn_links"](100, 3, 0.5, 7)
-    after = np.random.random(3)
-    assert np.array_equal(before, after)
+@pytest.mark.parametrize(
+    "n,d,beta,seed",
+    [
+        (400, 4, 0.3, 12345),
+        (300, 5, 0.0, 1),
+        (300, 3, 1.0, 2),
+        (200, 1, 0.5, 3),
+        (2, 1, 0.5, 4),
+        (150, 6, 0.7, 2**32 - 1),
+    ],
+)
+def test_gn_links_bit_identical_to_reference(n, d, beta, seed):
+    src, dst = accel.gn_links(n, d, beta, seed)
+    ref_src, ref_dst = _gn_links_reference(n, d, beta, seed)
+    assert src.dtype == dst.dtype == np.int64
+    assert np.array_equal(src, ref_src)
+    assert np.array_equal(dst, ref_dst)
+
+
+def test_gn_links_bit_identical_across_a_block_refill():
+    n, d = 5000, 8
+    # two uniforms per growth attempt: the stream runs past the first block
+    assert 2 * (n - d) * d > accel._DRAW_BLOCK
+    src, dst = accel.gn_links(n, d, 0.2, 987654321)
+    ref_src, ref_dst = _gn_links_reference(n, d, 0.2, 987654321)
+    assert np.array_equal(src, ref_src)
+    assert np.array_equal(dst, ref_dst)
 
 
 def test_backend_reports_known_path():
