@@ -1,101 +1,44 @@
-"""Kernel dispatch: numba-compiled loops or pure-numpy fallbacks, and
-the growth kernel.
+"""Hot kernels: the bincount sums behind PageRank sweeps and pool
+generations, and the growth kernel.
 
-The compiled path of edge_push and segment_sums is used when numba
-imports cleanly and the environment variable PRTAIL_DISABLE_NUMBA is
-unset (or set to one of "", "0", "false"). Set PRTAIL_DISABLE_NUMBA=1
-to force the numpy path. Both paths produce bitwise-identical results:
-the vectorized fallbacks (np.bincount) accumulate float64 values in the
-same order as the explicit loops.
-
-gn_links has one implementation on both backends: a Python loop over
+edge_push and segment_sums are single np.bincount calls, which
+accumulate float64 weights in input order, exactly as an explicit
+loop over the edges or picks would. gn_links is a Python loop over
 uniforms drawn in blocks from its own legacy RandomState, so it never
 touches the global np.random state.
 
-benchmarks/bench_kernels.py times the two paths against each other via
-get_impls().
+perfbench/run.py --trace 1 reports the time spent in each kernel
+(accel.edge_push_s, accel.segment_sums_s, accel.gn_links_s) inside
+the benchmark workloads.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from itertools import chain
 
 import numpy as np
 
-from . import _kernels
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def _flag_disabled() -> bool:
-    return os.environ.get("PRTAIL_DISABLE_NUMBA", "0").strip().lower() not in ("", "0", "false")
-
-
-USE_NUMBA = HAVE_NUMBA and not _flag_disabled()
-
 
 def backend() -> str:
-    """Name of the active kernel path, 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel path; numpy is the only one."""
+    return "numpy"
 
 
-def _edge_push_numpy(src, dst, node_weight, n):
+def edge_push(src, dst, node_weight, n):
+    """Accumulate node_weight[src[e]] into out[dst[e]] over all edges."""
     if src.shape[0] == 0:
         return np.zeros(n)
     return np.bincount(dst, weights=node_weight[src], minlength=n)
 
 
-def _segment_sums_numpy(pool, idx, counts):
+def segment_sums(pool, idx, counts):
+    """Sum pool[idx] per segment; segment i covers counts[i] entries of idx."""
     n = counts.shape[0]
     if idx.shape[0] == 0:
         return np.zeros(n)
     seg = np.repeat(np.arange(n, dtype=np.int64), counts)
     return np.bincount(seg, weights=pool[idx], minlength=n)
-
-
-_NUMPY_IMPLS = {
-    "edge_push": _edge_push_numpy,
-    "segment_sums": _segment_sums_numpy,
-}
-
-_numba_impls: dict | None = None
-
-
-def _build_numba_impls() -> dict:
-    global _numba_impls
-    if _numba_impls is None:
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba is not available in this environment")
-        jit = njit(cache=True)
-        _numba_impls = {
-            "edge_push": jit(_kernels.edge_push_loop),
-            "segment_sums": jit(_kernels.segment_sums_loop),
-        }
-    return _numba_impls
-
-
-def get_impls(which: str) -> dict:
-    """Kernel table for an explicit path, 'numba' or 'numpy'."""
-    if which == "numpy":
-        return _NUMPY_IMPLS
-    if which == "numba":
-        return _build_numba_impls()
-    raise ValueError(f"unknown kernel path {which!r}")
-
-
-def edge_push(src, dst, node_weight, n):
-    return get_impls(backend())["edge_push"](src, dst, node_weight, n)
-
-
-def segment_sums(pool, idx, counts):
-    return get_impls(backend())["segment_sums"](pool, idx, counts)
 
 
 # uniforms drawn per refill; the legacy stream is the same whatever the

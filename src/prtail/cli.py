@@ -25,8 +25,21 @@ import scipy
 
 from . import __version__
 from .errors import DegenerateFitError, NumericError, ParameterError, ParseError
-from .fixedpoint import ModelParams, final_generation_seed, save_diagnostics, solve_r
-from .graph import DANGLING_POLICIES, load_edge_list, pagerank, save_pagerank, write_edge_list
+from .fixedpoint import (
+    ModelParams,
+    check_solve_args,
+    final_generation_seed,
+    save_diagnostics,
+    solve_r,
+)
+from .graph import (
+    DANGLING_POLICIES,
+    check_pagerank_args,
+    load_edge_list,
+    pagerank,
+    save_pagerank,
+    write_edge_list,
+)
 from .growingnet import GrowthParams, generate
 from .rvmodel import sample_in_degree
 from .samples import save_samples
@@ -41,23 +54,14 @@ from .tailstats import (
 )
 from .theory import factor
 
-_TAG_COMPARE = 6
-
 
 def _versions() -> dict:
-    versions = {
+    return {
         "prtail": __version__,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
     }
-    try:
-        import numba
-
-        versions["numba"] = numba.__version__
-    except ImportError:
-        versions["numba"] = None
-    return versions
 
 
 def _write_manifest(out_dir: str, command: str, parameters: dict, outputs: list) -> None:
@@ -102,7 +106,20 @@ def _observed_offset(r_values, n_values):
         return None
 
 
+def _run_model(params: ModelParams, pool: int, generations: int, seed: int):
+    """Solve for R and draw its reference N(T) sample; returns
+    (solve result, N sample, observed offset or None, y(c) prediction)."""
+    model = params.in_degree_model()
+    result = solve_r(params, model, pool_size=pool, generations=generations, seed=seed)
+    # reference N(T) draws reuse the final generation's degree stream so
+    # the offset comparison cancels shared extreme-draw noise
+    n_set = sample_in_degree(model, pool, final_generation_seed(seed, generations))
+    observed = _observed_offset(result.values, n_set.values)
+    return result, n_set, observed, factor(params.c, params.d, params.alpha)
+
+
 def cmd_pagerank(args) -> int:
+    check_pagerank_args(args.c, tol=args.tol, dangling=args.dangling)
     g = load_edge_list(args.graph, keep_duplicates=args.keep_duplicates)
     pv = pagerank(g, c=args.c, tol=args.tol, dangling=args.dangling)
     out = _prepare_out(args.out)
@@ -134,20 +151,15 @@ def cmd_pagerank(args) -> int:
 
 def cmd_model(args) -> int:
     params = ModelParams(c=args.c, d=args.d, alpha=args.alpha)
+    check_solve_args(args.pool, args.generations, args.seed)
     out = _prepare_out(args.out)
-    model = params.in_degree_model()
-    result = solve_r(params, model, pool_size=args.pool, generations=args.generations, seed=args.seed)
-    # reference N(T) draws reuse the final generation's degree stream so
-    # the offset comparison below cancels shared extreme-draw noise
-    n_set = sample_in_degree(model, args.pool, final_generation_seed(args.seed, args.generations))
+    result, n_set, observed, prediction = _run_model(params, args.pool, args.generations, args.seed)
     outputs = ["r_samples.txt", "n_samples.txt", "diagnostics.csv", "offset.json"]
     save_samples(os.path.join(out, "r_samples.txt"), result.samples)
     save_samples(os.path.join(out, "n_samples.txt"), n_set)
     save_diagnostics(result.diagnostics, os.path.join(out, "diagnostics.csv"))
     _save_tail_artifacts(result.values, "r", out, args.xmin_fraction, outputs)
     _save_tail_artifacts(n_set.values, "n", out, args.xmin_fraction, outputs)
-    observed = _observed_offset(result.values, n_set.values)
-    prediction = factor(params.c, params.d, params.alpha)
     with open(os.path.join(out, "offset.json"), "w") as fh:
         json.dump(
             {
@@ -214,19 +226,12 @@ def cmd_compare(args) -> int:
     c_grid = _parse_c_grid(args.c)
     # every grid value is checked before the first solve starts
     grid_params = [ModelParams(c=c, d=args.d, alpha=args.alpha) for c in c_grid]
+    check_solve_args(args.pool, args.generations, args.seed)
     out = _prepare_out(args.out)
     rows = []
-    for c, params in zip(c_grid, grid_params):
-        model = params.in_degree_model()
-        result = solve_r(
-            params, model, pool_size=args.pool, generations=args.generations, seed=args.seed
-        )
-        n_set = sample_in_degree(
-            model, args.pool, final_generation_seed(args.seed, args.generations)
-        )
-        observed = _observed_offset(result.values, n_set.values)
-        prediction = factor(c, args.d, args.alpha)
-        rows.append((c, prediction.log10_y, observed))
+    for params in grid_params:
+        _, _, observed, prediction = _run_model(params, args.pool, args.generations, args.seed)
+        rows.append((params.c, prediction.log10_y, observed))
     with open(os.path.join(out, "compare.csv"), "w") as fh:
         fh.write("c,predicted_log10_y,observed_offset,difference\n")
         for c, predicted, observed in rows:

@@ -204,6 +204,16 @@ def _top_values(samples: np.ndarray, k: int = _TOP_COUNT) -> tuple:
     return tuple(float(v) for v in top)
 
 
+def check_solve_args(pool_size: int, generations: int, seed: int) -> None:
+    """Raise ParameterError unless solve_r accepts this pool size,
+    generation count and seed."""
+    check_seed(seed)
+    if generations < 1:
+        raise ParameterError(f"generations must be at least 1, got {generations}")
+    if pool_size < MIN_POOL_SIZE:
+        raise ParameterError(f"pool_size must be at least {MIN_POOL_SIZE}, got {pool_size}")
+
+
 def solve_r(
     params: ModelParams,
     model,
@@ -219,11 +229,7 @@ def solve_r(
     resampling stays auditable). A final KS above ks_threshold only
     clears the converged flag; the samples are still returned.
     """
-    check_seed(seed)
-    if generations < 1:
-        raise ParameterError(f"generations must be at least 1, got {generations}")
-    if pool_size < MIN_POOL_SIZE:
-        raise ParameterError(f"pool_size must be at least {MIN_POOL_SIZE}, got {pool_size}")
+    check_solve_args(pool_size, generations, seed)
     pool = initial_pool(pool_size)
     diagnostics = []
     for g in range(1, generations + 1):

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import accel
 from .errors import ParameterError, ParseError
-from .samples import SampleSet
 
 DANGLING_POLICIES = ("redistribute", "drop")
 DEFAULT_TOL = 1e-10
@@ -225,6 +224,23 @@ class PageRankVector:
     converged: bool
 
 
+def check_pagerank_args(
+    c: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    dangling: str = "redistribute",
+) -> None:
+    """Raise ParameterError unless pagerank accepts these settings."""
+    if not 0 < c < 1:
+        raise ParameterError(f"c must lie in (0, 1), got {c}")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if dangling not in DANGLING_POLICIES:
+        raise ParameterError(f"dangling must be one of {DANGLING_POLICIES}, got {dangling!r}")
+
+
 def pagerank(
     g: DirectedGraph,
     c: float,
@@ -234,14 +250,7 @@ def pagerank(
 ) -> PageRankVector:
     """Power iteration from PR = 1; stops when the total L1 change is
     at most tol * n (tol is a per-node tolerance)."""
-    if not 0 < c < 1:
-        raise ParameterError(f"c must lie in (0, 1), got {c}")
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    if dangling not in DANGLING_POLICIES:
-        raise ParameterError(f"dangling must be one of {DANGLING_POLICIES}, got {dangling!r}")
+    check_pagerank_args(c, tol, max_iter, dangling)
     n = g.n
     out_degree = g.out_degree
     inv_out = np.zeros(n)
@@ -279,10 +288,3 @@ def save_pagerank(pv: PageRankVector, g: DirectedGraph, path) -> None:
             values = pv.values[start : start + _WRITE_CHUNK].tolist()
             fh.write("".join(f"{node} {value!r}\n" for node, value in zip(nodes, values)))
 
-
-def degree_histograms(g: DirectedGraph) -> tuple[SampleSet, SampleSet]:
-    """Per-node (in, out) degree SampleSets."""
-    meta = {"nodes": g.n, "edges": g.m, "mean_out_degree": float(g.out_degree.mean())}
-    in_set = SampleSet(values=g.in_degree, source="graph-in-degree", seed=None, meta=meta)
-    out_set = SampleSet(values=g.out_degree, source="graph-out-degree", seed=None, meta=meta)
-    return in_set, out_set

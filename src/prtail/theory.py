@@ -61,23 +61,6 @@ def factor(c: float, d: float, alpha: float) -> FactorPrediction:
     return FactorPrediction(c=c, d=d, alpha=alpha, y=y)
 
 
-def predicted_ccdf_ratio(params: ModelParams) -> float:
-    """Asymptotic ratio of the R CCDF to the N(T) CCDF; alias of factor."""
-    return factor(params.c, params.d, params.alpha).y
-
-
-def save_factor_table(c_values, d: float, alpha: float, path) -> None:
-    """CSV of y(c) over a grid of damping values."""
-    c_values = list(c_values)
-    if not c_values:
-        raise ParameterError("factor table needs at least one c value")
-    with open(path, "w") as fh:
-        fh.write("c,y,log10_y\n")
-        for c in c_values:
-            pred = factor(c, d, alpha)
-            fh.write(f"{float(c)!r},{pred.y!r},{pred.log10_y!r}\n")
-
-
 def exponential_lst(mean: float):
     """LST of an exponential variable with the given mean: 1/(1 + mean*s)."""
     if not mean > 0:

@@ -80,6 +80,11 @@ def test_pagerank_bad_damping_is_parameter_error(tmp_path):
     assert rc == 2
 
 
+def test_pagerank_bad_damping_is_rejected_before_parsing(tmp_path):
+    rc = main(["pagerank", str(tmp_path / "nope.txt"), "--c", "1.5", "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
 def test_pagerank_non_convergence_exit_code(tmp_path, capsys):
     graph = tmp_path / "star.txt"
     graph.write_text(STAR)
@@ -234,7 +239,7 @@ def test_manifest_versions_block(tmp_path):
     import prtail
 
     assert manifest["versions"]["prtail"] == prtail.__version__
-    assert set(manifest["versions"]) == {"prtail", "python", "numpy", "scipy", "numba"}
+    assert set(manifest["versions"]) == {"prtail", "python", "numpy", "scipy"}
 
 
 def test_console_entry_point_runs(tmp_path):
@@ -257,6 +262,8 @@ def test_console_entry_point_runs(tmp_path):
         ["compare", "--c", "0.5,x", "--pool", "1000", "--generations", "1"],
         ["generate-gn", "--beta", "0.2", "--d", "8", "--n", "8"],
         ["pagerank", "missing.txt", "--c", "0.85"],
+        ["model", "--c", "0.5", "--pool", "0", "--generations", "1"],
+        ["compare", "--c", "0.5", "--pool", "1000", "--generations", "0"],
     ],
 )
 def test_rejected_run_leaves_no_directory(tmp_path, argv):

@@ -8,7 +8,6 @@ from prtail.errors import ParameterError, ParseError
 from prtail.graph import (
     DirectedGraph,
     PageRankVector,
-    degree_histograms,
     from_edges,
     load_edge_list,
     pagerank,
@@ -347,14 +346,6 @@ def test_save_pagerank_format(tmp_path):
     assert lines[3] == "# converged: true"
     assert lines[4] == "5 1.0"
     assert lines[5] == "9 1.0"
-
-
-def test_degree_histograms():
-    g = parse_edge_list("0 1\n0 2\n1 2\n")
-    in_set, out_set = degree_histograms(g)
-    assert np.array_equal(in_set.values, [0, 1, 2])
-    assert np.array_equal(out_set.values, [2, 1, 0])
-    assert in_set.meta["mean_out_degree"] == pytest.approx(1.0)
 
 
 def _sparse_graph(seed, n, m):

@@ -11,8 +11,6 @@ from prtail.theory import (
     factor,
     mean_from_lst,
     pareto_lst,
-    predicted_ccdf_ratio,
-    save_factor_table,
     second_moment_from_lst,
     second_moment_prediction,
     solve_lst,
@@ -65,23 +63,6 @@ def test_factor_domain_errors():
     ):
         with pytest.raises(ParameterError):
             factor(**bad)
-
-
-def test_predicted_ccdf_ratio_is_factor_alias():
-    params = ModelParams(c=0.5, d=8.2, alpha=1.1)
-    assert predicted_ccdf_ratio(params) == factor(c=0.5, d=8.2, alpha=1.1).y
-
-
-def test_save_factor_table(tmp_path):
-    path = tmp_path / "factor.csv"
-    save_factor_table([0.1, 0.5, 0.9], d=8.2, alpha=1.1, path=path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "c,y,log10_y"
-    assert len(lines) == 4
-    c, y, log_y = lines[2].split(",")
-    assert float(c) == 0.5
-    assert float(y) == pytest.approx(factor(c=0.5, d=8.2, alpha=1.1).y)
-    assert float(log_y) == pytest.approx(-1.1301223733775871, abs=1e-12)
 
 
 def test_exponential_lst_closed_form():
