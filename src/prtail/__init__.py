@@ -1,139 +1,9 @@
 """PageRank tail behavior: heavy-tailed in-degree models, a
 distributional fixed-point simulator, graph PageRank, and tail-index
-estimation, tied together by closed-form tail predictions."""
+estimation, tied together by closed-form tail predictions.
 
-from .errors import (
-    DegenerateFitError,
-    NumericError,
-    ParameterError,
-    ParseError,
-    PrtailError,
-    StateError,
-)
-from .fixedpoint import (
-    GenerationDiagnostics,
-    GenerationPool,
-    ModelParams,
-    SolveResult,
-    final_generation_seed,
-    initial_pool,
-    iterate_generation,
-    ks_distance,
-    lower_bound_samples,
-    save_diagnostics,
-    solve_r,
-)
-from .graph import (
-    DirectedGraph,
-    PageRankVector,
-    from_edges,
-    load_edge_list,
-    pagerank,
-    parse_edge_list,
-    save_pagerank,
-    write_edge_list,
-)
-from .growingnet import GrowthParams, attachment_probabilities
-from .growingnet import generate as generate_network
-from .rng import check_seed, derive, kernel_seed, stream
-from .rvmodel import (
-    ConstantInDegree,
-    InDegreeModel,
-    PoissonInDegree,
-    TailSpec,
-    pareto_scale_for_mean,
-    sample_in_degree,
-    sample_t,
-    tail_spec_for_mean,
-)
-from .samples import SampleSet, load_samples, save_samples
-from .tailstats import (
-    CcdfTable,
-    TailFit,
-    ccdf,
-    fit_tail_fraction,
-    fit_tail_mle,
-    log_ccdf_offset,
-    save_ccdf,
-    save_ccdf_loglog,
-    save_tail_fit,
-    x_min_for_top_fraction,
-)
-from .theory import (
-    FactorPrediction,
-    LstGrid,
-    exponential_lst,
-    factor,
-    mean_from_lst,
-    pareto_lst,
-    second_moment_from_lst,
-    second_moment_prediction,
-    solve_lst,
-)
+The package root holds only the version; import from the modules
+(prtail.fixedpoint, prtail.theory, ...), so that `import prtail` alone
+loads neither numpy nor scipy."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PrtailError",
-    "ParameterError",
-    "ParseError",
-    "StateError",
-    "DegenerateFitError",
-    "NumericError",
-    "check_seed",
-    "stream",
-    "derive",
-    "kernel_seed",
-    "SampleSet",
-    "save_samples",
-    "load_samples",
-    "TailSpec",
-    "InDegreeModel",
-    "PoissonInDegree",
-    "ConstantInDegree",
-    "pareto_scale_for_mean",
-    "tail_spec_for_mean",
-    "sample_t",
-    "sample_in_degree",
-    "ModelParams",
-    "GenerationPool",
-    "GenerationDiagnostics",
-    "SolveResult",
-    "final_generation_seed",
-    "initial_pool",
-    "iterate_generation",
-    "solve_r",
-    "lower_bound_samples",
-    "ks_distance",
-    "save_diagnostics",
-    "DirectedGraph",
-    "PageRankVector",
-    "from_edges",
-    "parse_edge_list",
-    "load_edge_list",
-    "write_edge_list",
-    "pagerank",
-    "save_pagerank",
-    "GrowthParams",
-    "generate_network",
-    "attachment_probabilities",
-    "CcdfTable",
-    "TailFit",
-    "ccdf",
-    "save_ccdf",
-    "save_ccdf_loglog",
-    "fit_tail_mle",
-    "fit_tail_fraction",
-    "x_min_for_top_fraction",
-    "save_tail_fit",
-    "log_ccdf_offset",
-    "FactorPrediction",
-    "factor",
-    "exponential_lst",
-    "pareto_lst",
-    "LstGrid",
-    "solve_lst",
-    "mean_from_lst",
-    "second_moment_from_lst",
-    "second_moment_prediction",
-]

@@ -76,11 +76,6 @@ def _write_manifest(out_dir: str, command: str, parameters: dict, outputs: list)
         fh.write("\n")
 
 
-def _prepare_out(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _save_tail_artifacts(values, prefix: str, out: str, fraction: float, outputs: list) -> None:
     table = ccdf(values)
     save_ccdf(table, os.path.join(out, f"{prefix}_ccdf.csv"))
@@ -122,7 +117,8 @@ def cmd_pagerank(args) -> int:
     check_pagerank_args(args.c, tol=args.tol, dangling=args.dangling)
     g = load_edge_list(args.graph, keep_duplicates=args.keep_duplicates)
     pv = pagerank(g, c=args.c, tol=args.tol, dangling=args.dangling)
-    out = _prepare_out(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     outputs = ["pagerank.txt"]
     save_pagerank(pv, g, os.path.join(out, "pagerank.txt"))
     _save_tail_artifacts(pv.values, "pagerank", out, args.xmin_fraction, outputs)
@@ -152,7 +148,8 @@ def cmd_pagerank(args) -> int:
 def cmd_model(args) -> int:
     params = ModelParams(c=args.c, d=args.d, alpha=args.alpha)
     check_solve_args(args.pool, args.generations, args.seed)
-    out = _prepare_out(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     result, n_set, observed, prediction = _run_model(params, args.pool, args.generations, args.seed)
     outputs = ["r_samples.txt", "n_samples.txt", "diagnostics.csv", "offset.json"]
     save_samples(os.path.join(out, "r_samples.txt"), result.samples)
@@ -200,7 +197,8 @@ def cmd_model(args) -> int:
 
 def cmd_generate_gn(args) -> int:
     params = GrowthParams(beta=args.beta, d=args.d, n_final=args.n, seed=args.seed)
-    out = _prepare_out(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     g = generate(params)
     write_edge_list(g, os.path.join(out, "edges.txt"))
     _write_manifest(
@@ -227,7 +225,8 @@ def cmd_compare(args) -> int:
     # every grid value is checked before the first solve starts
     grid_params = [ModelParams(c=c, d=args.d, alpha=args.alpha) for c in c_grid]
     check_solve_args(args.pool, args.generations, args.seed)
-    out = _prepare_out(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     rows = []
     for params in grid_params:
         _, _, observed, prediction = _run_model(params, args.pool, args.generations, args.seed)

@@ -55,31 +55,9 @@ class ModelParams:
         if not self.alpha > 1:
             raise ParameterError(f"alpha must exceed 1, got {self.alpha}")
 
-    def in_degree_model(self, slowly_varying: str = "constant") -> InDegreeModel:
-        """In-degree model calibrated so that E N = E T = d."""
-        return InDegreeModel(tail=tail_spec_for_mean(self.alpha, self.d, slowly_varying))
-
-
-@dataclass(frozen=True)
-class GenerationPool:
-    """Immutable sample pool approximating the law of R at one generation."""
-
-    samples: np.ndarray
-    generation: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        # emptiness is a state, not a parameter: iterating from an empty
-        # pool raises StateError at the point of use
-        if samples.ndim != 1:
-            raise ParameterError("pool samples must form a 1-d array")
-        if self.generation < 0:
-            raise ParameterError(f"generation must be nonnegative, got {self.generation}")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def size(self) -> int:
-        return self.samples.size
+    def in_degree_model(self) -> InDegreeModel:
+        """Pareto in-degree model calibrated so that E N = E T = d."""
+        return InDegreeModel(tail=tail_spec_for_mean(self.alpha, self.d))
 
 
 @dataclass(frozen=True)
@@ -90,10 +68,6 @@ class GenerationDiagnostics:
     mean: float
     ks: float
     top: tuple
-
-    @property
-    def max(self) -> float:
-        return self.top[0]
 
 
 @dataclass(frozen=True)
@@ -127,32 +101,16 @@ def final_generation_seed(seed: int, generations: int) -> int:
     return derive(seed, _TAG_GEN, generations)
 
 
-def initial_pool(pool_size: int) -> GenerationPool:
-    """Generation-0 pool: R = 1 identically (the exact mean, and the
-    exact solution when N = d is deterministic)."""
-    if pool_size < 1:
-        raise ParameterError(f"pool_size must be positive, got {pool_size}")
-    return GenerationPool(samples=np.ones(pool_size), generation=0)
-
-
-def iterate_generation(
-    pool: GenerationPool,
-    params: ModelParams,
-    model,
-    pool_size: int,
-    seed: int,
-) -> GenerationPool:
-    """One rewrite of the pool through the right-hand side of the equation."""
+def iterate_generation(pool: np.ndarray, params: ModelParams, model, seed: int) -> np.ndarray:
+    """One rewrite of the pool through the right-hand side of the
+    equation; the next pool has as many members as this one."""
     if pool.size == 0:
         raise StateError("cannot iterate from an empty pool")
-    if pool_size < 1:
-        raise ParameterError(f"pool_size must be positive, got {pool_size}")
-    counts = np.asarray(model.sample(pool_size, seed), dtype=np.int64)
+    counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
     total = int(counts.sum())
     idx = stream(seed, _TAG_PICK).integers(0, pool.size, size=total)
-    sums = accel.segment_sums(pool.samples, idx, counts)
-    samples = (params.c / params.d) * sums + (1.0 - params.c)
-    return GenerationPool(samples=samples, generation=pool.generation + 1)
+    sums = accel.segment_sums(pool, idx, counts)
+    return (params.c / params.d) * sums + (1.0 - params.c)
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -220,32 +178,33 @@ def solve_r(
     pool_size: int = DEFAULT_POOL_SIZE,
     generations: int = DEFAULT_GENERATIONS,
     seed: int = 0,
-    ks_threshold: float = KS_THRESHOLD,
 ) -> SolveResult:
     """Iterate the pool to distributional convergence.
 
     The result carries one diagnostics row per generation (mean, KS
     distance to the previous generation, top-10 values so heavy-tail
-    resampling stays auditable). A final KS above ks_threshold only
-    clears the converged flag; the samples are still returned.
+    resampling stays auditable). A final KS above KS_THRESHOLD only
+    clears the converged flag; the samples are still returned. The
+    pool starts from R = 1 identically: the exact mean, and the exact
+    solution when N = d is deterministic.
     """
     check_solve_args(pool_size, generations, seed)
-    pool = initial_pool(pool_size)
+    pool = np.ones(pool_size)
     diagnostics = []
     for g in range(1, generations + 1):
-        nxt = iterate_generation(pool, params, model, pool_size, derive(seed, _TAG_GEN, g))
+        nxt = iterate_generation(pool, params, model, derive(seed, _TAG_GEN, g))
         diagnostics.append(
             GenerationDiagnostics(
                 generation=g,
-                mean=float(nxt.samples.mean()),
-                ks=ks_distance(nxt.samples, pool.samples),
-                top=_top_values(nxt.samples),
+                mean=float(nxt.mean()),
+                ks=ks_distance(nxt, pool),
+                top=_top_values(nxt),
             )
         )
         pool = nxt
-    converged = diagnostics[-1].ks <= ks_threshold
+    converged = diagnostics[-1].ks <= KS_THRESHOLD
     samples = SampleSet(
-        values=pool.samples,
+        values=pool,
         source="r",
         seed=check_seed(seed),
         meta={

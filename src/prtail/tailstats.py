@@ -162,8 +162,15 @@ def x_min_for_top_fraction(samples, fraction: float = DEFAULT_TOP_FRACTION) -> f
 
 
 def fit_tail_fraction(samples, fraction: float = DEFAULT_TOP_FRACTION) -> TailFit:
-    """Fit the tail above the top-fraction threshold (default top 10%)."""
-    return fit_tail_mle(samples, x_min_for_top_fraction(samples, fraction))
+    """Fit the tail above the top-fraction threshold (default top 10%).
+
+    A threshold of zero or below comes from the data (the top fraction
+    is all zeros, say), not from the call, so it is a degenerate fit.
+    """
+    x_min = x_min_for_top_fraction(samples, fraction)
+    if not x_min > 0:
+        raise DegenerateFitError(f"top-{fraction} threshold {x_min} is not positive")
+    return fit_tail_mle(samples, x_min)
 
 
 def save_tail_fit(fit: TailFit, path) -> None:

@@ -33,6 +33,10 @@ DEFAULT_S_MAX = 1e2
 DEFAULT_N_POINTS = 2048
 DEFAULT_SWEEP_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 10_000
+# pareto_lst's table: TABLE_POINTS log-spaced arguments on [W_FLOOR, W_MAX]
+W_FLOOR = 1e-9
+W_MAX = 16.0
+TABLE_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,14 @@ def exponential_lst(mean: float):
     return f
 
 
-def pareto_lst(spec: TailSpec, w_floor: float = 1e-9, w_max: float = 16.0, table_points: int = 4096):
+def pareto_lst(spec: TailSpec):
     """Numeric LST of a Pareto T, tabulated once and interpolated.
 
     The Laplace integral has no elementary form, so it is evaluated by
     adaptive quadrature on a log-spaced argument table and read back
-    through a monotone (PCHIP) interpolant in log s. Below w_floor the
+    through a monotone (PCHIP) interpolant in log s. Below W_FLOOR the
     two-term expansion 1 - mean*s takes over; the seam mismatch is
-    O(w_floor^alpha), under 1e-8 for the floors used here. The table must
+    O(W_FLOOR^alpha), under 1e-8 for this floor. The table must
     stay dense enough that the interpolant's piecewise curvature jumps
     (~1e-4 at 512 points) do not leak into second-difference checks of
     the solved fixed point; 4096 points drives them below 1e-12.
@@ -100,7 +104,7 @@ def pareto_lst(spec: TailSpec, w_floor: float = 1e-9, w_max: float = 16.0, table
         )
         return value
 
-    w_table = np.geomspace(w_floor, w_max, table_points)
+    w_table = np.geomspace(W_FLOOR, W_MAX, TABLE_POINTS)
     f_table = np.array([integral(w) for w in w_table])
     interp = PchipInterpolator(np.log(w_table), f_table, extrapolate=False)
 
@@ -108,9 +112,9 @@ def pareto_lst(spec: TailSpec, w_floor: float = 1e-9, w_max: float = 16.0, table
         w = np.asarray(s, dtype=float)
         if np.any(w < 0):
             raise ParameterError("LST argument must be nonnegative")
-        if np.any(w > w_max):
-            raise ParameterError(f"LST argument above table range {w_max}")
-        out = np.where(w < w_floor, 1.0 - mean * w, interp(np.log(np.maximum(w, w_floor))))
+        if np.any(w > W_MAX):
+            raise ParameterError(f"LST argument above table range {W_MAX}")
+        out = np.where(w < W_FLOOR, 1.0 - mean * w, interp(np.log(np.maximum(w, W_FLOOR))))
         return out if out.ndim else float(out)
 
     return f

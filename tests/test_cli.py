@@ -160,6 +160,22 @@ def test_model_tiny_damping_degenerate_run(tmp_path, capsys):
     assert "offset unavailable" in capsys.readouterr().err
 
 
+def test_model_all_zero_top_counts_skips_n_fit(tmp_path, capsys):
+    # alpha just above 1 puts the Pareto scale near 0, so the top 10% of
+    # N is all zeros and its threshold is 0: the N fit is skipped, and
+    # the run still finishes with its manifest
+    out = tmp_path / "out"
+    rc = main(
+        ["model", "--c", "0.5", "--alpha", "1.0000001", "--pool", "1000", "--generations", "2",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    outputs = read_manifest(out)["outputs"]
+    assert sorted(os.listdir(out)) == outputs
+    assert "n_tail_fit.json" not in outputs
+    assert "skipping n tail fit" in capsys.readouterr().err
+
+
 def test_model_invalid_alpha_is_parameter_error(tmp_path):
     rc = main(
         ["model", "--c", "0.5", "--alpha", "1.0", "--pool", "1000", "--generations", "1",
@@ -242,6 +258,16 @@ def test_manifest_versions_block(tmp_path):
     assert set(manifest["versions"]) == {"prtail", "python", "numpy", "scipy"}
 
 
+def child_env():
+    """Environment in which a child interpreter imports this prtail."""
+    import prtail
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prtail.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_entry_point_runs(tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(
@@ -249,9 +275,21 @@ def test_console_entry_point_runs(tmp_path):
          "--generations", "2", "--seed", "1", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()
+
+
+def test_package_import_loads_no_numerics():
+    # the package root holds only __version__; the numeric modules load
+    # with the submodules that need them
+    code = "import prtail, sys; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

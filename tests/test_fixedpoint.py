@@ -5,10 +5,8 @@ import pytest
 
 from prtail.errors import ParameterError, StateError
 from prtail.fixedpoint import (
-    GenerationPool,
     ModelParams,
     final_generation_seed,
-    initial_pool,
     iterate_generation,
     ks_distance,
     lower_bound_samples,
@@ -36,30 +34,26 @@ def test_model_params_validation():
             ModelParams(**bad)
 
 
-def test_initial_pool_is_all_ones():
-    pool = initial_pool(100)
-    assert np.array_equal(pool.samples, np.ones(100))
-    assert pool.generation == 0
-
-
 def test_degenerate_in_degree_keeps_pool_at_one():
     # N identically d with R-pool identically 1 reproduces the exact
     # solution: each output is c*d*(1/d)*1 + (1-c) = 1, bit for bit
     # when c/d*d and the complement sum are exact (d a power of two)
     params = ModelParams(c=0.85, d=8.0, alpha=1.1)
-    pool = initial_pool(500)
-    nxt = iterate_generation(pool, params, ConstantInDegree(8), 500, seed=1)
-    assert np.all(nxt.samples == 1.0)
-    assert nxt.generation == 1
+    nxt = iterate_generation(np.ones(500), params, ConstantInDegree(8), seed=1)
+    assert nxt.shape == (500,)
+    assert np.all(nxt == 1.0)
+    # solve_r starts from that same R = 1 pool, so every generation stays there
+    result = solve_r(params, ConstantInDegree(8), pool_size=1000, generations=3, seed=1)
+    assert np.all(result.values == 1.0)
+    assert [row.ks for row in result.diagnostics] == [0.0, 0.0, 0.0]
 
 
 def test_tiny_damping_collapses_to_one():
     params = ModelParams(c=1e-6, d=8.2, alpha=1.1)
     model = InDegreeModel(params.in_degree_model().tail)
-    pool = initial_pool(10_000)
-    nxt = iterate_generation(pool, params, model, 10_000, seed=2)
-    assert nxt.samples.min() >= 1.0 - 1e-6
-    assert nxt.samples.max() <= 1.0 + 1e-3  # (c/d) * max count dominates the excess
+    nxt = iterate_generation(np.ones(10_000), params, model, seed=2)
+    assert nxt.min() >= 1.0 - 1e-6
+    assert nxt.max() <= 1.0 + 1e-3  # (c/d) * max count dominates the excess
 
 
 def test_zero_in_degree_gives_floor_exactly():
@@ -70,9 +64,8 @@ def test_zero_in_degree_gives_floor_exactly():
 
 def test_empty_pool_is_a_state_error():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
-    empty = GenerationPool(samples=np.ones(0), generation=0)
     with pytest.raises(StateError):
-        iterate_generation(empty, params, ConstantInDegree(1), 10, seed=0)
+        iterate_generation(np.ones(0), params, ConstantInDegree(1), seed=0)
 
 
 def test_solve_r_preconditions():
@@ -87,10 +80,10 @@ def test_solve_r_preconditions():
 def test_floor_holds_every_generation():
     params = ModelParams(c=0.9, d=8.2, alpha=1.1)
     model = params.in_degree_model()
-    pool = initial_pool(2000)
+    pool = np.ones(2000)
     for g in range(1, 6):
-        pool = iterate_generation(pool, params, model, 2000, seed=g)
-        assert pool.samples.min() >= 1.0 - 0.9
+        pool = iterate_generation(pool, params, model, seed=g)
+        assert pool.min() >= 1.0 - 0.9
 
 
 def test_ks_distance_hand_values():
@@ -161,13 +154,13 @@ def test_ks_distance_bit_identical_with_infinities():
 def test_ks_distance_bit_identical_on_generation_pools():
     params = ModelParams(c=0.9, d=8.2, alpha=1.1)
     model = params.in_degree_model()
-    pool = initial_pool(5000)
+    pool = np.ones(5000)
     for g in range(1, 6):
-        nxt = iterate_generation(pool, params, model, 5000, seed=40 + g)
-        before = (nxt.samples.copy(), pool.samples.copy())
-        assert ks_distance(nxt.samples, pool.samples) == _ks_reference(nxt.samples, pool.samples)
+        nxt = iterate_generation(pool, params, model, seed=40 + g)
+        before = (nxt.copy(), pool.copy())
+        assert ks_distance(nxt, pool) == _ks_reference(nxt, pool)
         # the inputs are left as they were
-        assert np.array_equal(nxt.samples, before[0]) and np.array_equal(pool.samples, before[1])
+        assert np.array_equal(nxt, before[0]) and np.array_equal(pool, before[1])
         pool = nxt
 
 
@@ -175,14 +168,14 @@ def test_solve_r_ks_column_matches_reference():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
     model = params.in_degree_model()
     result = solve_r(params, model, pool_size=2000, generations=6, seed=21)
-    pool = initial_pool(2000)
+    pool = np.ones(2000)
     for row in result.diagnostics:
         g = row.generation
         # generation g is seeded as the last generation of a g-generation run
-        nxt = iterate_generation(pool, params, model, 2000, final_generation_seed(21, g))
-        assert row.ks == _ks_reference(nxt.samples, pool.samples)
+        nxt = iterate_generation(pool, params, model, final_generation_seed(21, g))
+        assert row.ks == _ks_reference(nxt, pool)
         pool = nxt
-    assert np.array_equal(pool.samples, result.values)
+    assert np.array_equal(pool, result.values)
 
 
 def test_ks_distance_rejects_nan_and_bad_shapes():
@@ -219,9 +212,8 @@ def test_generation_seeding_is_stage_consistent():
     model = params.in_degree_model()
     full = solve_r(params, model, pool_size=1000, generations=3, seed=9)
     partial = solve_r(params, model, pool_size=1000, generations=2, seed=9)
-    pool = GenerationPool(samples=partial.values, generation=2)
-    redo = iterate_generation(pool, params, model, 1000, final_generation_seed(9, 3))
-    assert np.array_equal(redo.samples, full.values)
+    redo = iterate_generation(partial.values, params, model, final_generation_seed(9, 3))
+    assert np.array_equal(redo, full.values)
 
 
 def test_mean_converges_to_one_with_finite_variance_tail():

@@ -86,6 +86,15 @@ def test_fit_degenerate_and_domain_errors():
         fit_tail_mle(np.array([0.5, 0.7]), 1.0)  # nothing in the tail
 
 
+def test_fit_fraction_with_zero_threshold_is_degenerate():
+    # the top 10% of these values starts at 0: the data picked a
+    # threshold no fit can use, while the explicit x_min=0 call above
+    # stays a parameter error
+    values = np.r_[np.zeros(95), np.arange(1.0, 6.0)]
+    with pytest.raises(DegenerateFitError):
+        fit_tail_fraction(values, 0.1)
+
+
 def test_fit_scale_invariance_exact_for_binary_scaling():
     rng = np.random.default_rng(3)
     values = 1.0 + rng.pareto(1.5, 5000)
