@@ -46,6 +46,7 @@ from .samples import save_samples
 from .tailstats import (
     DEFAULT_TOP_FRACTION,
     ccdf,
+    check_top_fraction,
     fit_tail_fraction,
     log_ccdf_offset,
     save_ccdf,
@@ -115,6 +116,7 @@ def _run_model(params: ModelParams, pool: int, generations: int, seed: int):
 
 def cmd_pagerank(args) -> int:
     check_pagerank_args(args.c, tol=args.tol, dangling=args.dangling)
+    check_top_fraction(args.xmin_fraction)
     g = load_edge_list(args.graph, keep_duplicates=args.keep_duplicates)
     pv = pagerank(g, c=args.c, tol=args.tol, dangling=args.dangling)
     out = args.out
@@ -148,6 +150,7 @@ def cmd_pagerank(args) -> int:
 def cmd_model(args) -> int:
     params = ModelParams(c=args.c, d=args.d, alpha=args.alpha)
     check_solve_args(args.pool, args.generations, args.seed)
+    check_top_fraction(args.xmin_fraction)
     out = args.out
     os.makedirs(out, exist_ok=True)
     result, n_set, observed, prediction = _run_model(params, args.pool, args.generations, args.seed)

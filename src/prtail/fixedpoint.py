@@ -10,6 +10,22 @@ and rewrites it generation by generation: each output draws its own
 N, picks N pool members uniformly with replacement, and applies the
 right-hand side. c/d < 1 makes the map contractive, so a few dozen
 generations from the exact-mean start R = 1 suffice.
+
+A generation is drawn and summed in chunks of _CHUNK picks, so its
+memory beyond the pool-sized arrays is a few MiB however heavy the
+in-degree tail: one draw of N can hold tens of millions of picks.
+Chunks cut across segments (the picks of one output). The result is
+the same double, bit for bit, as summing every pick in one pass:
+
+- consecutive integers() calls on one stream give the same indices
+  as one call for their total;
+- bincount adds each bin's weights in input order, starting from
+  0.0, so a segment's sum is the sequential sum of its picks;
+- a segment cut at a chunk's start continues from the partial sum
+  the previous chunk left for it, as the sequential accumulate
+  (cumsum) of [carry, its picks in this chunk]: the same additions in
+  the same order. np.sum would not do: it adds pairwise, so its
+  rounding depends on where the cut falls.
 """
 
 from __future__ import annotations
@@ -27,6 +43,8 @@ from .samples import SampleSet
 
 _TAG_PICK = 3  # pool-index stream; tags 1 and 2 belong to the degree model
 _TAG_GEN = 4   # per-generation sub-seed derivation
+# picks drawn and summed at once: 0.5 MiB per pick-sized temporary
+_CHUNK = 1 << 16
 
 DEFAULT_POOL_SIZE = 10**6
 DEFAULT_GENERATIONS = 30
@@ -103,13 +121,31 @@ def final_generation_seed(seed: int, generations: int) -> int:
 
 def iterate_generation(pool: np.ndarray, params: ModelParams, model, seed: int) -> np.ndarray:
     """One rewrite of the pool through the right-hand side of the
-    equation; the next pool has as many members as this one."""
+    equation; the next pool has as many members as this one. The
+    picks are drawn and summed _CHUNK at a time (see the module
+    docstring)."""
     if pool.size == 0:
         raise StateError("cannot iterate from an empty pool")
     counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
-    total = int(counts.sum())
-    idx = stream(seed, _TAG_PICK).integers(0, pool.size, size=total)
-    sums = accel.segment_sums(pool, idx, counts)
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    rng = stream(seed, _TAG_PICK)
+    sums = np.zeros(pool.size)
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        idx = rng.integers(0, pool.size, size=hi - lo)
+        # segments first..last hold picks lo..hi-1; a zero-count one
+        # between them sums to 0, one at a seam is never touched
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi - 1, side="right"))
+        part = counts[first:last + 1].copy()
+        head = lo - int(ends[first] - counts[first])  # picks of `first` in earlier chunks
+        part[0] -= head
+        part[-1] -= int(ends[last]) - hi
+        carry = sums[first]
+        sums[first:last + 1] = accel.segment_sums(pool, idx, part)
+        if head:
+            sums[first] = np.cumsum(np.concatenate(([carry], pool[idx[:part[0]]])))[-1]
     return (params.c / params.d) * sums + (1.0 - params.c)
 
 
@@ -129,7 +165,8 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     both empirical CDFs on the pooled grid: the statistic, and with it
     diagnostics.csv, is identical bit for bit. NaN has no place in the
     order (it does not equal itself, so its ties cannot be grouped)
-    and is rejected.
+    and is rejected. Each buffer is dropped or reused once spent, so
+    the peak is the gather of the merged values: 24 bytes per sample.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -148,12 +185,19 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     np.not_equal(values[1:], values[:-1], out=last[:-1])
     last[-1] = True
     pos = np.flatnonzero(last)
+    del values, last
     # reuse the index buffer: membership in a, then its running count
-    rank = np.less(order, na, out=order)
-    np.cumsum(rank, out=rank)
-    rank_a = rank[pos]
-    rank_b = pos + 1 - rank_a
-    return float(np.abs(rank_a / na - rank_b / nb).max())
+    np.less(order, na, out=order)
+    np.cumsum(order, out=order)
+    rank_a = order[pos]
+    del order
+    # b's count, in place of the positions
+    pos += 1
+    pos -= rank_a
+    gap = np.divide(rank_a, na)
+    del rank_a
+    np.subtract(gap, np.divide(pos, nb), out=gap)
+    return float(np.abs(gap, out=gap).max())
 
 
 def _top_values(samples: np.ndarray, k: int = _TOP_COUNT) -> tuple:

@@ -150,11 +150,16 @@ def fit_tail_mle(samples, x_min: float) -> TailFit:
     )
 
 
+def check_top_fraction(fraction: float) -> None:
+    """Raise ParameterError unless fraction lies in (0, 1]."""
+    if not 0 < fraction <= 1:
+        raise ParameterError(f"fraction must lie in (0, 1], got {fraction}")
+
+
 def x_min_for_top_fraction(samples, fraction: float = DEFAULT_TOP_FRACTION) -> float:
     """Threshold at the k-th largest sample, k = ceil(fraction * n)."""
     values = _values(samples)
-    if not 0 < fraction <= 1:
-        raise ParameterError(f"fraction must lie in (0, 1], got {fraction}")
+    check_top_fraction(fraction)
     if values.size == 0:
         raise ParameterError("cannot pick a threshold from an empty sample")
     k = max(1, int(math.ceil(fraction * values.size)))

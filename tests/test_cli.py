@@ -302,10 +302,13 @@ def test_package_import_loads_no_numerics():
         ["pagerank", "missing.txt", "--c", "0.85"],
         ["model", "--c", "0.5", "--pool", "0", "--generations", "1"],
         ["compare", "--c", "0.5", "--pool", "1000", "--generations", "0"],
+        ["model", "--c", "0.5", "--pool", "1000", "--generations", "2", "--xmin-fraction", "0"],
+        ["pagerank", "star.txt", "--c", "0.85", "--xmin-fraction", "0"],
     ],
 )
 def test_rejected_run_leaves_no_directory(tmp_path, argv):
     out = tmp_path / "out"
-    argv = [str(tmp_path / a) if a == "missing.txt" else a for a in argv]
+    (tmp_path / "star.txt").write_text(STAR)
+    argv = [str(tmp_path / a) if a in ("missing.txt", "star.txt") else a for a in argv]
     assert main(argv + ["--out", str(out)]) in (2, 3)
     assert not out.exists()

@@ -1,8 +1,12 @@
 """Population-dynamics iteration of the distributional fixed point."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from prtail import fixedpoint
+from prtail.accel import segment_sums
 from prtail.errors import ParameterError, StateError
 from prtail.fixedpoint import (
     ModelParams,
@@ -13,6 +17,7 @@ from prtail.fixedpoint import (
     save_diagnostics,
     solve_r,
 )
+from prtail.rng import stream
 from prtail.rvmodel import ConstantInDegree, InDegreeModel, PoissonInDegree
 from prtail.tailstats import fit_tail_fraction
 
@@ -84,6 +89,97 @@ def test_floor_holds_every_generation():
     for g in range(1, 6):
         pool = iterate_generation(pool, params, model, seed=g)
         assert pool.min() >= 1.0 - 0.9
+
+
+def _iterate_reference(pool, params, model, seed):
+    # one pass: every pick of the generation drawn and summed at once
+    counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
+    idx = stream(seed, fixedpoint._TAG_PICK).integers(0, pool.size, size=int(counts.sum()))
+    sums = segment_sums(pool, idx, counts)
+    return (params.c / params.d) * sums + (1.0 - params.c)
+
+
+class _FixedCounts:
+    """In-degree model that returns the given counts."""
+
+    def __init__(self, counts):
+        self.counts = np.asarray(counts, dtype=np.int64)
+
+    def sample(self, n, seed):
+        assert n == self.counts.size
+        return self.counts
+
+
+SEAM_COUNTS = {
+    # one segment spanning many chunks, between short ones
+    "long segment": [3] + [0] * 5 + [500, 2, 1] + [0] * 41,
+    # totals 7, 14, 21: zero-count segments sit at the seams of chunk 7
+    "zeros at seams": [7, 0, 0, 7, 0, 4, 3, 0, 0] + [0] * 41,
+    # 448 = 7 * 64 picks, a whole number of chunks of 1, 7 and 64
+    "exact multiple": [64] * 7 + [0] * 43,
+    "all zero": [0] * 50,
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+@pytest.mark.parametrize("case", sorted(SEAM_COUNTS))
+def test_chunk_seams_are_exact(monkeypatch, chunk, case):
+    if chunk is not None:
+        monkeypatch.setattr(fixedpoint, "_CHUNK", chunk)
+    params = ModelParams(c=0.7, d=8.2, alpha=1.1)
+    # values of very different scales make any change of summation order show
+    pool = np.random.default_rng(5).pareto(1.1, 50) * 1e3 + 1.0 / 3.0
+    model = _FixedCounts(SEAM_COUNTS[case])
+    for seed in (1, 2):
+        got = iterate_generation(pool, params, model, seed)
+        assert np.array_equal(got, _iterate_reference(pool, params, model, seed))
+
+
+def test_default_chunk_exact_multiple():
+    # two whole default chunks, one segment crossing the seam
+    params = ModelParams(c=0.7, d=8.2, alpha=1.1)
+    pool = np.random.default_rng(6).pareto(1.1, 1000) + 0.1
+    counts = np.zeros(1000, dtype=np.int64)
+    counts[[3, 10, 500]] = [fixedpoint._CHUNK - 5, 10, fixedpoint._CHUNK - 5]
+    model = _FixedCounts(counts)
+    assert np.array_equal(
+        iterate_generation(pool, params, model, 3), _iterate_reference(pool, params, model, 3)
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_chunked_solve_matches_one_pass_diagnostics(monkeypatch, chunk):
+    params = ModelParams(c=0.9, d=8.2, alpha=1.1)
+    model = params.in_degree_model()
+    if chunk is not None:
+        monkeypatch.setattr(fixedpoint, "_CHUNK", chunk)
+    chunked = solve_r(params, model, pool_size=2000, generations=4, seed=17)
+    monkeypatch.setattr(fixedpoint, "iterate_generation", _iterate_reference)
+    one_pass = solve_r(params, model, pool_size=2000, generations=4, seed=17)
+    assert chunked.diagnostics == one_pass.diagnostics
+    assert np.array_equal(chunked.values, one_pass.values)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_memory_is_bounded():
+    # 10^7 picks; held at once they would take 24 bytes each
+    params = ModelParams(c=0.5, d=8.2, alpha=1.1)
+    peak = _peak_bytes(iterate_generation, np.ones(1000), params, ConstantInDegree(10**4), 1)
+    assert peak < 16 * 2**20
+
+
+def test_ks_distance_memory_is_bounded():
+    rng = np.random.default_rng(8)
+    a, b = rng.pareto(1.1, 10**6), rng.pareto(1.1, 10**6)
+    assert _peak_bytes(ks_distance, a, b) < 64 * 2**20
 
 
 def test_ks_distance_hand_values():
