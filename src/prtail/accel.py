@@ -1,11 +1,18 @@
-"""Hot kernels: the bincount sums behind PageRank sweeps and pool
+"""Hot kernels: the in-order sums behind PageRank sweeps and pool
 generations, and the growth kernel.
 
-edge_push and segment_sums are single np.bincount calls, which
-accumulate float64 weights in input order, exactly as an explicit
-loop over the edges or picks would. gn_links is a Python loop over
-uniforms drawn in blocks from its own legacy RandomState, so it never
-touches the global np.random state.
+Both sums add float64 values one at a time in input order, exactly as
+an explicit loop over the edges or picks would. edge_push is one
+np.bincount call, which starts each bin from 0.0. segment_sums is one
+np.add.at call into the caller's array, which starts each segment from
+the value already there: from 0.0 it gives the same double as
+bincount, and from a partial sum it continues that sum, so a segment
+split across two calls ends on the same double as in one call. A
+bincount added to the partial sum afterwards would not: it rounds the
+new picks' subtotal first, and (a + b) + c is not a + (b + c) in
+floating point. gn_links is a Python loop over uniforms drawn in
+blocks from its own legacy RandomState, so it never touches the
+global np.random state.
 
 perfbench/run.py --trace 1 reports the time spent in each kernel
 (accel.edge_push_s, accel.segment_sums_s, accel.gn_links_s) inside
@@ -32,13 +39,10 @@ def edge_push(src, dst, node_weight, n):
     return np.bincount(dst, weights=node_weight[src], minlength=n)
 
 
-def segment_sums(pool, idx, counts):
-    """Sum pool[idx] per segment; segment i covers counts[i] entries of idx."""
-    n = counts.shape[0]
-    if idx.shape[0] == 0:
-        return np.zeros(n)
-    seg = np.repeat(np.arange(n, dtype=np.int64), counts)
-    return np.bincount(seg, weights=pool[idx], minlength=n)
+def segment_sums(pool, idx, counts, out):
+    """Add pool[idx] into out in pick order; segment i, which covers
+    counts[i] entries of idx, adds into out[i]."""
+    np.add.at(out, np.repeat(np.arange(counts.shape[0]), counts), pool[idx])
 
 
 # uniforms drawn per refill; the legacy stream is the same whatever the

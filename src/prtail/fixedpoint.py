@@ -14,18 +14,16 @@ generations from the exact-mean start R = 1 suffice.
 A generation is drawn and summed in chunks of _CHUNK picks, so its
 memory beyond the pool-sized arrays is a few MiB however heavy the
 in-degree tail: one draw of N can hold tens of millions of picks.
-Chunks cut across segments (the picks of one output). The result is
-the same double, bit for bit, as summing every pick in one pass:
-
-- consecutive integers() calls on one stream give the same indices
-  as one call for their total;
-- bincount adds each bin's weights in input order, starting from
-  0.0, so a segment's sum is the sequential sum of its picks;
-- a segment cut at a chunk's start continues from the partial sum
-  the previous chunk left for it, as the sequential accumulate
-  (cumsum) of [carry, its picks in this chunk]: the same additions in
-  the same order. np.sum would not do: it adds pairwise, so its
-  rounding depends on where the cut falls.
+Chunks cut across segments (the picks of one output), yet the result
+is the same double, bit for bit, as summing every pick in one pass.
+Consecutive integers() calls on one stream give the same indices as
+one call for their total. The sum has one rule: every pick is added
+into its output's running sum, one at a time, in pick order
+(accel.segment_sums, an np.add.at), so a segment cut at a seam goes
+on from where the previous chunk left it. Summing a chunk's picks
+apart first (a bincount, or np.sum, which also adds pairwise) and
+adding that subtotal to the running sum would regroup the additions,
+and with them the rounding, wherever a cut falls.
 """
 
 from __future__ import annotations
@@ -138,14 +136,8 @@ def iterate_generation(pool: np.ndarray, params: ModelParams, model, seed: int) 
         # between them sums to 0, one at a seam is never touched
         first = int(np.searchsorted(ends, lo, side="right"))
         last = int(np.searchsorted(ends, hi - 1, side="right"))
-        part = counts[first:last + 1].copy()
-        head = lo - int(ends[first] - counts[first])  # picks of `first` in earlier chunks
-        part[0] -= head
-        part[-1] -= int(ends[last]) - hi
-        carry = sums[first]
-        sums[first:last + 1] = accel.segment_sums(pool, idx, part)
-        if head:
-            sums[first] = np.cumsum(np.concatenate(([carry], pool[idx[:part[0]]])))[-1]
+        part = np.diff(np.minimum(ends[first:last + 1], hi), prepend=lo)
+        accel.segment_sums(pool, idx, part, sums[first:last + 1])
     return (params.c / params.d) * sums + (1.0 - params.c)
 
 

@@ -6,10 +6,8 @@ where T is regularly varying with CCDF index alpha > 1. Mixing over T
 preserves both the mean (E N(T) = E T) and the tail index, which is
 what makes the model's in-degree calibration work.
 
-The default T family is Pareto: CCDF (x/m)^(-alpha) for x >= m, which
-realizes the asymptotic tail exactly at all scales. A log-corrected
-family with CCDF (x/m)^(-alpha) * (1 + ln(x/m)) is provided to
-exercise non-constant slowly varying factors.
+T is Pareto: CCDF (x/m)^(-alpha) for x >= m, which realizes the
+asymptotic tail exactly at all scales.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import ParameterError
 from .rng import check_seed, stream
@@ -28,8 +25,6 @@ from .samples import SampleSet
 # in-degree draws are Poisson counts over the very same T draws
 _TAG_T = 1
 _TAG_MIX = 2
-
-SLOWLY_VARYING_CHOICES = ("constant", "logarithmic")
 
 
 def pareto_scale_for_mean(alpha: float, d: float) -> float:
@@ -43,65 +38,33 @@ def pareto_scale_for_mean(alpha: float, d: float) -> float:
 
 @dataclass(frozen=True)
 class TailSpec:
-    """Regularly varying law for T with CCDF x^(-alpha) * L(x)."""
+    """Pareto law for T: CCDF (x/x_scale)^(-alpha) for x >= x_scale."""
 
     alpha: float
     x_scale: float
-    slowly_varying: str = "constant"
 
     def __post_init__(self):
         if not self.alpha > 1:
             raise ParameterError(f"alpha must exceed 1, got {self.alpha}")
         if not self.x_scale > 0:
             raise ParameterError(f"x_scale must be positive, got {self.x_scale}")
-        if self.slowly_varying not in SLOWLY_VARYING_CHOICES:
-            raise ParameterError(
-                f"slowly_varying must be one of {SLOWLY_VARYING_CHOICES}, got {self.slowly_varying!r}"
-            )
 
     def mean(self) -> float:
-        lam = self.alpha - 1.0
-        if self.slowly_varying == "constant":
-            return self.x_scale * self.alpha / lam
-        return self.x_scale * (1.0 + 1.0 / lam + 1.0 / lam**2)
+        return self.x_scale * self.alpha / (self.alpha - 1.0)
 
     def ccdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        ratio = np.maximum(x / self.x_scale, 1.0)
-        p = ratio**-self.alpha
-        if self.slowly_varying == "logarithmic":
-            p = p * (1.0 + np.log(ratio))
-        return p
+        return np.maximum(x / self.x_scale, 1.0) ** -self.alpha
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws by CCDF inversion of a uniform in (0, 1]."""
         u = 1.0 - rng.random(n)
-        if self.slowly_varying == "constant":
-            return self.x_scale * u ** (-1.0 / self.alpha)
-        # solve exp(-alpha*y) * (1+y) = u for y = ln(x/m) >= 0 via the
-        # lower Lambert branch; z = 1+y satisfies z*exp(-alpha*z) = u*exp(-alpha)
-        a = self.alpha
-        w = lambertw(-a * u * np.exp(-a), k=-1).real
-        z = -w / a
-        return self.x_scale * np.exp(z - 1.0)
+        return self.x_scale * u ** (-1.0 / self.alpha)
 
 
-def tail_spec_for_mean(alpha: float, d: float, slowly_varying: str = "constant") -> TailSpec:
-    """TailSpec of the requested family calibrated so that E T = d."""
-    if slowly_varying == "constant":
-        return TailSpec(alpha=alpha, x_scale=pareto_scale_for_mean(alpha, d))
-    if slowly_varying == "logarithmic":
-        if not alpha > 1:
-            raise ParameterError(f"alpha must exceed 1, got {alpha}")
-        if not d > 0:
-            raise ParameterError(f"mean must be positive, got {d}")
-        lam = alpha - 1.0
-        return TailSpec(
-            alpha=alpha,
-            x_scale=d / (1.0 + 1.0 / lam + 1.0 / lam**2),
-            slowly_varying="logarithmic",
-        )
-    raise ParameterError(f"slowly_varying must be one of {SLOWLY_VARYING_CHOICES}, got {slowly_varying!r}")
+def tail_spec_for_mean(alpha: float, d: float) -> TailSpec:
+    """Pareto TailSpec calibrated so that E T = d."""
+    return TailSpec(alpha=alpha, x_scale=pareto_scale_for_mean(alpha, d))
 
 
 @dataclass(frozen=True)
@@ -153,11 +116,7 @@ def sample_t(spec: TailSpec, n: int, seed: int) -> SampleSet:
         values=values,
         source="t",
         seed=check_seed(seed),
-        meta={
-            "alpha": spec.alpha,
-            "x_scale": spec.x_scale,
-            "slowly_varying": spec.slowly_varying,
-        },
+        meta={"alpha": spec.alpha, "x_scale": spec.x_scale},
     )
 
 
@@ -169,5 +128,5 @@ def sample_in_degree(model, n: int, seed: int) -> SampleSet:
     meta: dict = {"model": type(model).__name__}
     tail = getattr(model, "tail", None)
     if tail is not None:
-        meta.update(alpha=tail.alpha, x_scale=tail.x_scale, slowly_varying=tail.slowly_varying)
+        meta.update(alpha=tail.alpha, x_scale=tail.x_scale)
     return SampleSet(values=values, source="in-degree", seed=check_seed(seed), meta=meta)

@@ -88,8 +88,6 @@ def pareto_lst(spec: TailSpec):
     (~1e-4 at 512 points) do not leak into second-difference checks of
     the solved fixed point; 4096 points drives them below 1e-12.
     """
-    if spec.slowly_varying != "constant":
-        raise ParameterError("transform table supports the constant slowly varying family only")
     alpha, m = spec.alpha, spec.x_scale
     mean = spec.mean()
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from prtail import fixedpoint
-from prtail.accel import segment_sums
 from prtail.errors import ParameterError, StateError
 from prtail.fixedpoint import (
     ModelParams,
@@ -95,7 +94,8 @@ def _iterate_reference(pool, params, model, seed):
     # one pass: every pick of the generation drawn and summed at once
     counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
     idx = stream(seed, fixedpoint._TAG_PICK).integers(0, pool.size, size=int(counts.sum()))
-    sums = segment_sums(pool, idx, counts)
+    seg = np.repeat(np.arange(pool.size), counts)
+    sums = np.bincount(seg, weights=pool[idx], minlength=pool.size)
     return (params.c / params.d) * sums + (1.0 - params.c)
 
 

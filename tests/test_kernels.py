@@ -1,5 +1,5 @@
-"""The bincount kernels must agree bit for bit with their explicit
-loops, and the growth kernel must reproduce its reference loop."""
+"""The sum kernels must agree bit for bit with their explicit loops,
+and the growth kernel must reproduce its reference loop."""
 
 import numpy as np
 import pytest
@@ -15,17 +15,16 @@ def _edge_push_reference(src, dst, node_weight, n):
     return out
 
 
-def _segment_sums_reference(pool, idx, counts):
-    """Sum pool[idx] per segment; segment i covers counts[i] entries of idx."""
-    out = np.empty(counts.shape[0])
+def _segment_sums_reference(pool, idx, counts, out):
+    """Add pool[idx] into out; segment i covers counts[i] entries of idx
+    and goes on from out[i]."""
     pos = 0
     for i in range(counts.shape[0]):
-        s = 0.0
+        s = out[i]
         for _ in range(counts[i]):
             s += pool[idx[pos]]
             pos += 1
         out[i] = s
-    return out
 
 
 def test_edge_push_bitwise_parity():
@@ -54,19 +53,34 @@ def test_segment_sums_bitwise_parity():
     rng = np.random.default_rng(1)
     n = 300
     counts = rng.poisson(5.0, n)
+    counts[100] = 50
     idx = rng.integers(0, 1000, counts.sum())
-    pool = rng.random(1000)
-    a = accel.segment_sums(pool, idx, counts)
-    b = _segment_sums_reference(pool, idx, counts)
-    assert np.array_equal(a, b)
+    # values of very different scales make any change of summation order show
+    pool = rng.pareto(1.1, 1000) * 1e3 + 1.0 / 3.0
+    for start in (np.zeros(n), rng.pareto(1.1, n) * 1e2 + 1.0 / 7.0):
+        ref = start.copy()
+        _segment_sums_reference(pool, idx, counts, ref)
+        one_call = start.copy()
+        accel.segment_sums(pool, idx, counts, one_call)
+        assert np.array_equal(one_call, ref)
+        # the same segments in two calls, cut 20 picks into segment 100
+        cut = int(counts[:100].sum()) + 20
+        head, tail = counts[:101].copy(), counts[100:].copy()
+        head[-1], tail[0] = 20, 30
+        two_calls = start.copy()
+        accel.segment_sums(pool, idx[:cut], head, two_calls[:101])
+        accel.segment_sums(pool, idx[cut:], tail, two_calls[100:])
+        assert np.array_equal(two_calls, ref)
 
 
 def test_segment_sums_zero_counts():
     counts = np.array([0, 3, 0, 2])
     idx = np.array([0, 1, 2, 3, 4])
     pool = np.arange(5, dtype=float)
-    a = accel.segment_sums(pool, idx, counts)
-    b = _segment_sums_reference(pool, idx, counts)
+    a = np.zeros(4)
+    accel.segment_sums(pool, idx, counts, a)
+    b = np.zeros(4)
+    _segment_sums_reference(pool, idx, counts, b)
     assert np.array_equal(a, b)
     assert np.array_equal(a, [0.0, 3.0, 0.0, 7.0])
 

@@ -43,35 +43,23 @@ def test_tail_spec_validation():
         TailSpec(alpha=1.0, x_scale=1.0)
     with pytest.raises(ParameterError):
         TailSpec(alpha=2.0, x_scale=0.0)
-    with pytest.raises(ParameterError):
-        TailSpec(alpha=2.0, x_scale=1.0, slowly_varying="cubic")
 
 
-@pytest.mark.parametrize("family", ["constant", "logarithmic"])
-def test_mean_formula_matches_ccdf_integral(family):
+def test_mean_formula_matches_ccdf_integral():
     # E X = m + integral of the CCDF above m, for any nonnegative X >= m
-    spec = tail_spec_for_mean(1.7, 4.0, family)
+    spec = tail_spec_for_mean(1.7, 4.0)
     tail_mass, _ = quad(lambda x: float(spec.ccdf(x)), spec.x_scale, np.inf, limit=200)
     assert spec.x_scale + tail_mass == pytest.approx(4.0, rel=1e-9)
     assert spec.mean() == pytest.approx(4.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("family", ["constant", "logarithmic"])
-def test_sampling_inverts_ccdf(family):
-    # x = sample(u) must satisfy ccdf(x) = u exactly (up to roundoff);
-    # for the log family this exercises the Lambert-branch inversion
-    spec = tail_spec_for_mean(1.1, 8.2, family)
+def test_sampling_inverts_ccdf():
+    # x = sample(u) must satisfy ccdf(x) = u exactly (up to roundoff)
+    spec = tail_spec_for_mean(1.1, 8.2)
     x = spec.sample(20000, np.random.default_rng(9))
     u = 1.0 - np.random.default_rng(9).random(20000)
     assert np.all(x >= spec.x_scale)
     assert np.allclose(spec.ccdf(x), u, rtol=1e-9, atol=1e-12)
-
-
-def test_log_family_ccdf_shape():
-    spec = TailSpec(alpha=2.0, x_scale=1.0, slowly_varying="logarithmic")
-    assert float(spec.ccdf(1.0)) == 1.0
-    assert float(spec.ccdf(np.e)) == pytest.approx(2.0 * np.exp(-2.0))
-    assert float(spec.ccdf(0.5)) == 1.0  # clamped below scale
 
 
 def test_hill_fit_recovers_alpha_on_large_pareto_sample():
