@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -41,7 +42,7 @@ from .graph import (
     write_edge_list,
 )
 from .growingnet import GrowthParams, generate
-from .rvmodel import sample_in_degree
+from .rvmodel import pareto_scale_for_mean
 from .samples import save_samples
 from .tailstats import (
     DEFAULT_TOP_FRACTION,
@@ -104,14 +105,14 @@ def _observed_offset(r_values, n_values):
 
 def _run_model(params: ModelParams, pool: int, generations: int, seed: int):
     """Solve for R and draw its reference N(T) sample; returns
-    (solve result, N sample, observed offset or None, y(c) prediction)."""
+    (solve result, N sample, observed offset or None, log10 y(c))."""
     model = params.in_degree_model()
     result = solve_r(params, model, pool_size=pool, generations=generations, seed=seed)
     # reference N(T) draws reuse the final generation's degree stream so
     # the offset comparison cancels shared extreme-draw noise
-    n_set = sample_in_degree(model, pool, final_generation_seed(seed, generations))
-    observed = _observed_offset(result.values, n_set.values)
-    return result, n_set, observed, factor(params.c, params.d, params.alpha)
+    n_values = model.sample(pool, final_generation_seed(seed, generations))
+    observed = _observed_offset(result.values, n_values)
+    return result, n_values, observed, math.log10(factor(params.c, params.d, params.alpha))
 
 
 def cmd_pagerank(args) -> int:
@@ -153,13 +154,37 @@ def cmd_model(args) -> int:
     check_top_fraction(args.xmin_fraction)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    result, n_set, observed, prediction = _run_model(params, args.pool, args.generations, args.seed)
+    result, n_values, observed, log10_y = _run_model(params, args.pool, args.generations, args.seed)
     outputs = ["r_samples.txt", "n_samples.txt", "diagnostics.csv", "offset.json"]
-    save_samples(os.path.join(out, "r_samples.txt"), result.samples)
-    save_samples(os.path.join(out, "n_samples.txt"), n_set)
+    save_samples(
+        os.path.join(out, "r_samples.txt"),
+        result.values,
+        "r",
+        args.seed,
+        {
+            "c": params.c,
+            "d": params.d,
+            "alpha": params.alpha,
+            "pool_size": args.pool,
+            "generations": args.generations,
+            "ks_final": result.ks_final,
+            "converged": result.converged,
+        },
+    )
+    save_samples(
+        os.path.join(out, "n_samples.txt"),
+        n_values,
+        "in-degree",
+        final_generation_seed(args.seed, args.generations),
+        {
+            "model": "InDegreeModel",
+            "alpha": params.alpha,
+            "x_scale": pareto_scale_for_mean(params.alpha, params.d),
+        },
+    )
     save_diagnostics(result.diagnostics, os.path.join(out, "diagnostics.csv"))
     _save_tail_artifacts(result.values, "r", out, args.xmin_fraction, outputs)
-    _save_tail_artifacts(n_set.values, "n", out, args.xmin_fraction, outputs)
+    _save_tail_artifacts(n_values, "n", out, args.xmin_fraction, outputs)
     with open(os.path.join(out, "offset.json"), "w") as fh:
         json.dump(
             {
@@ -167,8 +192,8 @@ def cmd_model(args) -> int:
                 "d": params.d,
                 "alpha": params.alpha,
                 "observed_offset": observed,
-                "predicted_log10_y": prediction.log10_y,
-                "difference": None if observed is None else observed - prediction.log10_y,
+                "predicted_log10_y": log10_y,
+                "difference": None if observed is None else observed - log10_y,
             },
             fh,
             indent=2,
@@ -232,8 +257,8 @@ def cmd_compare(args) -> int:
     os.makedirs(out, exist_ok=True)
     rows = []
     for params in grid_params:
-        _, _, observed, prediction = _run_model(params, args.pool, args.generations, args.seed)
-        rows.append((params.c, prediction.log10_y, observed))
+        _, _, observed, log10_y = _run_model(params, args.pool, args.generations, args.seed)
+        rows.append((params.c, log10_y, observed))
     with open(os.path.join(out, "compare.csv"), "w") as fh:
         fh.write("c,predicted_log10_y,observed_offset,difference\n")
         for c, predicted, observed in rows:

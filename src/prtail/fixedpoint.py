@@ -37,7 +37,6 @@ from . import accel
 from .errors import ParameterError, StateError
 from .rng import check_seed, derive, stream
 from .rvmodel import InDegreeModel, tail_spec_for_mean
-from .samples import SampleSet
 
 _TAG_PICK = 3  # pool-index stream; tags 1 and 2 belong to the degree model
 _TAG_GEN = 4   # per-generation sub-seed derivation
@@ -90,13 +89,9 @@ class GenerationDiagnostics:
 class SolveResult:
     """Final pool plus the per-generation audit trail."""
 
-    samples: SampleSet
+    values: np.ndarray
     diagnostics: tuple
     converged: bool
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.samples.values
 
     @property
     def ks_final(self) -> float:
@@ -220,7 +215,7 @@ def solve_r(
     The result carries one diagnostics row per generation (mean, KS
     distance to the previous generation, top-10 values so heavy-tail
     resampling stays auditable). A final KS above KS_THRESHOLD only
-    clears the converged flag; the samples are still returned. The
+    clears the converged flag; the final pool is still returned. The
     pool starts from R = 1 identically: the exact mean, and the exact
     solution when N = d is deterministic.
     """
@@ -239,35 +234,15 @@ def solve_r(
         )
         pool = nxt
     converged = diagnostics[-1].ks <= KS_THRESHOLD
-    samples = SampleSet(
-        values=pool,
-        source="r",
-        seed=check_seed(seed),
-        meta={
-            "c": params.c,
-            "d": params.d,
-            "alpha": params.alpha,
-            "pool_size": pool_size,
-            "generations": generations,
-            "ks_final": diagnostics[-1].ks,
-            "converged": converged,
-        },
-    )
-    return SolveResult(samples=samples, diagnostics=tuple(diagnostics), converged=converged)
+    return SolveResult(values=pool, diagnostics=tuple(diagnostics), converged=converged)
 
 
-def lower_bound_samples(model, params: ModelParams, n: int, seed: int) -> SampleSet:
+def lower_bound_samples(model, params: ModelParams, n: int, seed: int) -> np.ndarray:
     """Draws of (1-c)((c/d)N + 1), which R dominates stochastically."""
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
     counts = np.asarray(model.sample(n, seed), dtype=float)
-    values = (1.0 - params.c) * ((params.c / params.d) * counts + 1.0)
-    return SampleSet(
-        values=values,
-        source="r-lower-bound",
-        seed=check_seed(seed),
-        meta={"c": params.c, "d": params.d},
-    )
+    return (1.0 - params.c) * ((params.c / params.d) * counts + 1.0)
 
 
 def save_diagnostics(diagnostics, path) -> None:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .rng import check_seed, stream
-from .samples import SampleSet
 
 # stream tags under a caller's master seed; sample_t and
 # InDegreeModel.sample share _TAG_T so that, given the same seed, the
@@ -51,10 +50,6 @@ class TailSpec:
 
     def mean(self) -> float:
         return self.x_scale * self.alpha / (self.alpha - 1.0)
-
-    def ccdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.maximum(x / self.x_scale, 1.0) ** -self.alpha
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws by CCDF inversion of a uniform in (0, 1]."""
@@ -107,26 +102,8 @@ class ConstantInDegree:
         return np.full(n, self.count, dtype=np.int64)
 
 
-def sample_t(spec: TailSpec, n: int, seed: int) -> SampleSet:
+def sample_t(spec: TailSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of T, deterministic given seed."""
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
-    values = spec.sample(n, stream(seed, _TAG_T))
-    return SampleSet(
-        values=values,
-        source="t",
-        seed=check_seed(seed),
-        meta={"alpha": spec.alpha, "x_scale": spec.x_scale},
-    )
-
-
-def sample_in_degree(model, n: int, seed: int) -> SampleSet:
-    """n i.i.d. draws of the in-degree under any degree model."""
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
-    values = model.sample(n, seed)
-    meta: dict = {"model": type(model).__name__}
-    tail = getattr(model, "tail", None)
-    if tail is not None:
-        meta.update(alpha=tail.alpha, x_scale=tail.x_scale)
-    return SampleSet(values=values, source="in-degree", seed=check_seed(seed), meta=meta)
+    return spec.sample(n, stream(seed, _TAG_T))

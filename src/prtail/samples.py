@@ -1,37 +1,10 @@
-"""Tagged sample collections and their text serialization."""
+"""Text export of sample arrays with '#'-prefixed header lines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from .errors import ParameterError, ParseError
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """A batch of nonnegative real samples with provenance tags.
-
-    ``meta`` holds scalar descriptors (model parameters, diagnostics)
-    that travel with the samples into the text export.
-    """
-
-    values: np.ndarray
-    source: str
-    seed: int | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim != 1 or values.size == 0:
-            raise ParameterError("samples must be a nonempty 1-d array")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
 
 
 def _format_value(v) -> str:
@@ -44,54 +17,25 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def save_samples(path: str | Path, samples: SampleSet) -> None:
-    """Write one value per line with '#'-prefixed header lines.
+def save_samples(path: str | Path, values: np.ndarray, source: str, seed: int, meta: dict) -> None:
+    """Write one value per line after the header lines: source, seed,
+    count, dtype, then the entries of meta in key order.
 
     Float values are written with shortest round-trip repr, so the
-    same SampleSet always produces byte-identical files.
+    same array and header always produce byte-identical files, and
+    np.loadtxt(path, comments="#") reads the values back exactly.
     """
-    values = samples.values
     integral = np.issubdtype(values.dtype, np.integer)
     with open(path, "w") as fh:
-        fh.write(f"# source: {samples.source}\n")
-        fh.write(f"# seed: {'none' if samples.seed is None else samples.seed}\n")
-        fh.write(f"# count: {samples.size}\n")
+        fh.write(f"# source: {source}\n")
+        fh.write(f"# seed: {seed}\n")
+        fh.write(f"# count: {values.size}\n")
         fh.write(f"# dtype: {'int' if integral else 'float'}\n")
-        for k in sorted(samples.meta):
-            fh.write(f"# {k}: {_format_value(samples.meta[k])}\n")
+        for k in sorted(meta):
+            fh.write(f"# {k}: {_format_value(meta[k])}\n")
         if integral:
             for v in values:
                 fh.write(f"{int(v)}\n")
         else:
             for v in values:
                 fh.write(f"{float(v)!r}\n")
-
-
-def load_samples(path: str | Path) -> SampleSet:
-    """Read a file produced by save_samples."""
-    header: dict[str, str] = {}
-    body: list[str] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if ":" not in line:
-                    raise ParseError("malformed header line", lineno)
-                key, _, val = line[1:].partition(":")
-                header[key.strip()] = val.strip()
-            else:
-                body.append(line)
-    if not body:
-        raise ParseError("no sample values found")
-    dtype = np.int64 if header.get("dtype") == "int" else np.float64
-    try:
-        values = np.array(body, dtype=dtype)
-    except ValueError as exc:
-        raise ParseError(f"bad sample value: {exc}") from exc
-    seed_text = header.get("seed", "none")
-    seed = None if seed_text == "none" else int(seed_text)
-    known = {"source", "seed", "count", "dtype"}
-    meta = {k: v for k, v in header.items() if k not in known}
-    return SampleSet(values=values, source=header.get("source", "unknown"), seed=seed, meta=meta)

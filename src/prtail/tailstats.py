@@ -21,7 +21,7 @@ DEFAULT_TOP_FRACTION = 0.1
 
 
 def _values(samples) -> np.ndarray:
-    values = np.asarray(getattr(samples, "values", samples), dtype=float)
+    values = np.asarray(samples, dtype=float)
     if values.ndim != 1:
         raise ParameterError(f"samples must be one-dimensional, got shape {values.shape}")
     return values

@@ -39,21 +39,7 @@ W_MAX = 16.0
 TABLE_POINTS = 4096
 
 
-@dataclass(frozen=True)
-class FactorPrediction:
-    """y(c) with the parameters it was evaluated at."""
-
-    c: float
-    d: float
-    alpha: float
-    y: float
-
-    @property
-    def log10_y(self) -> float:
-        return math.log10(self.y)
-
-
-def factor(c: float, d: float, alpha: float) -> FactorPrediction:
+def factor(c: float, d: float, alpha: float) -> float:
     """Exact evaluation of y(c) = c^a / (d^a - c^a d).
 
     The parameters must be finite and admissible, as for ModelParams.
@@ -61,8 +47,7 @@ def factor(c: float, d: float, alpha: float) -> FactorPrediction:
     (c < 1 < d gives d^(a-1) > 1 > c^a), so y > 0 always.
     """
     ModelParams(c=c, d=d, alpha=alpha)  # raises ParameterError outside the domain
-    y = c**alpha / (d**alpha - c**alpha * d)
-    return FactorPrediction(c=c, d=d, alpha=alpha, y=y)
+    return c**alpha / (d**alpha - c**alpha * d)
 
 
 def exponential_lst(mean: float):

@@ -28,7 +28,7 @@ from prtail.fixedpoint import ModelParams, final_generation_seed, solve_r
 from prtail.graph import load_edge_list, pagerank, parse_edge_list
 from prtail.growingnet import GrowthParams, generate
 from prtail.rng import stream
-from prtail.rvmodel import InDegreeModel, sample_in_degree, sample_t, tail_spec_for_mean
+from prtail.rvmodel import InDegreeModel, sample_t, tail_spec_for_mean
 from prtail.tailstats import ccdf, fit_tail_fraction, fit_tail_mle, log_ccdf_offset
 from prtail.theory import exponential_lst, factor, mean_from_lst, solve_lst
 
@@ -58,8 +58,8 @@ def run_c085():
     params = ModelParams(c=0.85, d=8.0, alpha=1.1)
     model = params.in_degree_model()
     res = solve_r(params, model, pool_size=POOL, generations=GENERATIONS, seed=SEED)
-    n_set = sample_in_degree(model, POOL, final_generation_seed(SEED, GENERATIONS))
-    return params, res, n_set, time.perf_counter() - t0
+    n_counts = model.sample(POOL, final_generation_seed(SEED, GENERATIONS))
+    return params, res, n_counts, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +71,8 @@ def runs_d82():
         params = ModelParams(c=c, d=8.2, alpha=1.1)
         model = params.in_degree_model()
         res = solve_r(params, model, pool_size=POOL, generations=GENERATIONS, seed=SEED)
-        n_set = sample_in_degree(model, POOL, final_generation_seed(SEED, GENERATIONS))
-        runs[c] = (params, res, n_set)
+        n_counts = model.sample(POOL, final_generation_seed(SEED, GENERATIONS))
+        runs[c] = (params, res, n_counts)
     return runs, time.perf_counter() - t0
 
 
@@ -81,10 +81,8 @@ def test_criterion_1_poisson_mixing_preserves_tail_index():
     worst = 0.0
     for alpha in (1.1, 1.5):
         spec = tail_spec_for_mean(alpha, 8.2)
-        t_fit = fit_tail_fraction(sample_t(spec, POOL, SEED).values, 0.01)
-        n_fit = fit_tail_fraction(
-            sample_in_degree(InDegreeModel(tail=spec), POOL, SEED).values.astype(float), 0.01
-        )
+        t_fit = fit_tail_fraction(sample_t(spec, POOL, SEED), 0.01)
+        n_fit = fit_tail_fraction(InDegreeModel(tail=spec).sample(POOL, SEED).astype(float), 0.01)
         diff = abs(t_fit.alpha_ccdf - n_fit.alpha_ccdf)
         band = _combined_band(t_fit, n_fit)
         worst = max(worst, diff / band)
@@ -97,9 +95,9 @@ def test_criterion_1_poisson_mixing_preserves_tail_index():
 
 
 def test_criterion_2_pagerank_tail_matches_in_degree(run_c085):
-    params, res, n_set, elapsed = run_c085
+    params, res, n_counts, elapsed = run_c085
     r_fit = fit_tail_fraction(res.values, 0.01)
-    n_fit = fit_tail_fraction(n_set.values.astype(float), 0.01)
+    n_fit = fit_tail_fraction(n_counts.astype(float), 0.01)
     diff = abs(r_fit.alpha_ccdf - n_fit.alpha_ccdf)
     band = _combined_band(r_fit, n_fit)
     abs_ok = abs(r_fit.alpha_ccdf - params.alpha) <= 0.15
@@ -121,9 +119,9 @@ def test_criterion_2_pagerank_tail_matches_in_degree(run_c085):
 def test_criterion_3_multiplicative_factor(runs_d82):
     runs, elapsed = runs_d82
     diffs = {}
-    for c, (params, res, n_set) in runs.items():
-        observed = log_ccdf_offset(ccdf(res.values), ccdf(n_set.values))
-        predicted = factor(params.c, params.d, params.alpha).log10_y
+    for c, (params, res, n_counts) in runs.items():
+        observed = log_ccdf_offset(ccdf(res.values), ccdf(n_counts))
+        predicted = math.log10(factor(params.c, params.d, params.alpha))
         diffs[c] = observed - predicted
     ok_01 = abs(diffs[0.1]) <= 0.2
     ok_05 = abs(diffs[0.5]) <= 0.2
@@ -170,9 +168,9 @@ def test_criterion_5_floor_and_dominance(run_c085, runs_d82):
     all_runs = dict(runs)
     all_runs[0.85] = run_c085[:3]
     worst_violation = 0.0
-    for c, (params, res, n_set) in all_runs.items():
+    for c, (params, res, n_counts) in all_runs.items():
         assert res.values.min() >= (1.0 - params.c), f"floor violated at c={c}"
-        bound = (1.0 - params.c) * ((params.c / params.d) * n_set.values + 1.0)
+        bound = (1.0 - params.c) * ((params.c / params.d) * n_counts + 1.0)
         grid = np.quantile(bound, np.linspace(0.5, 0.9999, 200))
         surv_r = (res.values[:, None] > grid).mean(axis=0)
         surv_b = (bound[:, None] > grid).mean(axis=0)

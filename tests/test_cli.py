@@ -9,10 +9,15 @@ import numpy as np
 import pytest
 
 from prtail.cli import main
+from prtail.fixedpoint import KS_THRESHOLD, final_generation_seed
 from prtail.graph import load_edge_list
-from prtail.samples import load_samples
+from prtail.rvmodel import pareto_scale_for_mean
 
 STAR = "1 0\n2 0\n3 0\n0 1\n"
+
+
+def header_lines(path):
+    return [line for line in path.read_text().splitlines() if line.startswith("#")]
 
 
 def read_manifest(out_dir):
@@ -108,14 +113,49 @@ def test_model_command_artifacts_and_offset(tmp_path):
     assert offset["difference"] == pytest.approx(
         offset["observed_offset"] - offset["predicted_log10_y"]
     )
-    r_samples = load_samples(out / "r_samples.txt")
+    r_samples = np.loadtxt(out / "r_samples.txt", comments="#")
     assert r_samples.size == 2000
-    assert r_samples.values.min() >= 0.5
-    n_samples = load_samples(out / "n_samples.txt")
-    assert np.issubdtype(n_samples.values.dtype, np.integer)
+    assert r_samples.min() >= 0.5
+    n_samples = np.loadtxt(out / "n_samples.txt", comments="#", dtype=np.int64)
+    assert n_samples.size == 2000
+    assert n_samples.min() >= 0
     diag = (out / "diagnostics.csv").read_text().splitlines()
     assert diag[0].startswith("generation,mean,ks,max")
     assert len(diag) == 4
+
+
+def test_model_sample_file_headers(tmp_path):
+    out = tmp_path / "out"
+    rc = main(
+        ["model", "--c", "0.5", "--pool", "2000", "--generations", "3", "--seed", "5",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    last = (out / "diagnostics.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "3"
+    ks_final = float(last[2])
+    assert header_lines(out / "r_samples.txt") == [
+        "# source: r",
+        "# seed: 5",
+        "# count: 2000",
+        "# dtype: float",
+        "# alpha: 1.1",
+        "# c: 0.5",
+        f"# converged: {'true' if ks_final <= KS_THRESHOLD else 'false'}",
+        "# d: 8.2",
+        "# generations: 3",
+        f"# ks_final: {ks_final!r}",
+        "# pool_size: 2000",
+    ]
+    assert header_lines(out / "n_samples.txt") == [
+        "# source: in-degree",
+        f"# seed: {final_generation_seed(5, 3)}",
+        "# count: 2000",
+        "# dtype: int",
+        "# alpha: 1.1",
+        "# model: InDegreeModel",
+        f"# x_scale: {pareto_scale_for_mean(1.1, 8.2)!r}",
+    ]
 
 
 def test_model_is_byte_reproducible(tmp_path):
@@ -150,7 +190,7 @@ def test_model_tiny_damping_degenerate_run(tmp_path, capsys):
          "--out", str(out)]
     )
     assert rc == 0
-    values = load_samples(out / "r_samples.txt").values
+    values = np.loadtxt(out / "r_samples.txt", comments="#")
     assert np.all(np.abs(values - 1.0) < 1e-3)
     # R is a point mass near 1, so no tail band is shared with N(T)
     offset = json.loads((out / "offset.json").read_text())

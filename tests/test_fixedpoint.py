@@ -294,9 +294,9 @@ def test_solve_r_reproducible_and_tagged():
     a = solve_r(params, model, pool_size=1000, generations=3, seed=9)
     b = solve_r(params, model, pool_size=1000, generations=3, seed=9)
     assert np.array_equal(a.values, b.values)
-    assert a.samples.source == "r"
-    assert a.samples.meta["c"] == 0.5
-    assert a.samples.meta["generations"] == 3
+    assert a.values.shape == (1000,)
+    assert a.values.dtype == np.float64
+    assert a.values.min() >= 0.5
     assert len(a.diagnostics) == 3
     assert a.diagnostics[-1].ks == a.ks_final
 
@@ -335,10 +335,10 @@ def test_tail_index_preserved_from_in_degree_to_r():
 def test_lower_bound_constant_cases():
     params = ModelParams(c=0.85, d=8.0, alpha=1.1)
     zero = lower_bound_samples(ConstantInDegree(0), params, 100, seed=0)
-    assert np.allclose(zero.values, 0.15)
+    assert np.allclose(zero, 0.15)
     eight = lower_bound_samples(ConstantInDegree(8), params, 100, seed=0)
-    assert np.allclose(eight.values, 0.15 * (0.85 + 1.0))
-    assert eight.values[0] == pytest.approx(0.2775, abs=1e-15)
+    assert np.allclose(eight, 0.15 * (0.85 + 1.0))
+    assert eight[0] == pytest.approx(0.2775, abs=1e-15)
 
 
 def test_lower_bound_is_dominated_midsize():
@@ -347,10 +347,10 @@ def test_lower_bound_is_dominated_midsize():
     result = solve_r(params, model, pool_size=50_000, generations=10, seed=12)
     bound = lower_bound_samples(model, params, 50_000, final_generation_seed(12, 10))
     # compare survival fractions on a shared grid above the median
-    grid = np.quantile(bound.values, np.linspace(0.5, 0.999, 40))
+    grid = np.quantile(bound, np.linspace(0.5, 0.999, 40))
     r_surv = 1.0 - np.searchsorted(np.sort(result.values), grid, side="left") / result.values.size
-    b_surv = 1.0 - np.searchsorted(np.sort(bound.values), grid, side="left") / bound.values.size
-    se = np.sqrt(b_surv * (1.0 - b_surv) / bound.values.size)
+    b_surv = 1.0 - np.searchsorted(np.sort(bound), grid, side="left") / bound.size
+    se = np.sqrt(b_surv * (1.0 - b_surv) / bound.size)
     assert np.all(r_surv >= b_surv - 2.0 * se)
 
 

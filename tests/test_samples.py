@@ -1,57 +1,37 @@
-"""SampleSet construction and text round-tripping."""
+"""Text export of sample arrays: header lines and exact values."""
 
 import numpy as np
-import pytest
 
-from prtail.errors import ParameterError, ParseError
-from prtail.samples import SampleSet, load_samples, save_samples
+from prtail.samples import save_samples
 
 
-def test_sample_set_basic():
-    s = SampleSet(values=np.array([1.0, 2.0]), source="t", seed=3)
-    assert s.size == 2
-    assert s.source == "t"
+def _header(path):
+    return [line for line in path.read_text().splitlines() if line.startswith("#")]
 
 
-@pytest.mark.parametrize("values", [np.array([]), np.zeros((2, 2)), np.array(1.0)])
-def test_sample_set_rejects_bad_shapes(values):
-    with pytest.raises(ParameterError):
-        SampleSet(values=values, source="t")
+def test_header_lines_in_order(tmp_path):
+    path = tmp_path / "r.txt"
+    meta = {"pool_size": 10, "c": 0.5, "converged": False, "model": "InDegreeModel", "ks": np.float64(0.1)}
+    save_samples(path, np.array([0.1, 1.0]), "r", 99, meta)
+    assert _header(path) == [
+        "# source: r",
+        "# seed: 99",
+        "# count: 2",
+        "# dtype: float",
+        "# c: 0.5",
+        "# converged: false",
+        "# ks: 0.1",
+        "# model: InDegreeModel",
+        "# pool_size: 10",
+    ]
 
 
 def test_round_trip_floats(tmp_path):
     values = np.array([0.1, 1.0, 2.5e-17, 1e300])
-    s = SampleSet(values=values, source="r", seed=99, meta={"c": 0.5, "pool_size": 10})
     path = tmp_path / "r.txt"
-    save_samples(path, s)
-    back = load_samples(path)
-    assert np.array_equal(back.values, values)
-    assert back.values.dtype == np.float64
-    assert back.source == "r"
-    assert back.seed == 99
-    # meta comes back as strings; the numeric text is the repr written out
-    assert back.meta["c"] == "0.5"
-    assert back.meta["pool_size"] == "10"
-
-
-def test_round_trip_ints(tmp_path):
-    values = np.array([0, 3, 17], dtype=np.int64)
-    s = SampleSet(values=values, source="in-degree")
-    path = tmp_path / "n.txt"
-    save_samples(path, s)
-    back = load_samples(path)
-    assert np.array_equal(back.values, values)
-    assert back.values.dtype == np.int64
-    assert back.seed is None
-
-
-def test_save_is_byte_deterministic(tmp_path):
-    values = np.linspace(0.0, 1.0, 257)  # exercise non-terminating binary fractions
-    s = SampleSet(values=values, source="r", seed=1, meta={"alpha": 1.1})
-    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    save_samples(p1, s)
-    save_samples(p2, s)
-    assert p1.read_bytes() == p2.read_bytes()
+    save_samples(path, values, "r", 99, {"c": 0.5})
+    assert path.read_text().splitlines()[5:] == ["0.1", "1.0", "2.5e-17", "1e+300"]
+    assert np.array_equal(np.loadtxt(path, comments="#"), values)
 
 
 def test_float_repr_survives_round_trip(tmp_path):
@@ -59,27 +39,23 @@ def test_float_repr_survives_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.random(1000) * 10.0 ** rng.integers(-10, 10, 1000)
     path = tmp_path / "v.txt"
-    save_samples(path, SampleSet(values=values, source="t"))
-    assert np.array_equal(load_samples(path).values, values)
+    save_samples(path, values, "t", 0, {})
+    assert np.array_equal(np.loadtxt(path, comments="#"), values)
 
 
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("# source: t\nnot-a-number\n")
-    with pytest.raises(ParseError):
-        load_samples(path)
+def test_round_trip_ints(tmp_path):
+    values = np.array([0, 3, 17, 2**62], dtype=np.int64)
+    path = tmp_path / "n.txt"
+    save_samples(path, values, "in-degree", 3, {"converged": True})
+    assert _header(path)[2:] == ["# count: 4", "# dtype: int", "# converged: true"]
+    back = np.loadtxt(path, comments="#", dtype=np.int64)
+    assert np.array_equal(back, values)
+    assert path.read_text().splitlines()[-1] == str(2**62)
 
 
-def test_load_rejects_empty(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("# source: t\n")
-    with pytest.raises(ParseError):
-        load_samples(path)
-
-
-def test_load_reports_bad_header_line(tmp_path):
-    path = tmp_path / "head.txt"
-    path.write_text("# no colon here\n1.0\n")
-    with pytest.raises(ParseError) as err:
-        load_samples(path)
-    assert err.value.line_number == 1
+def test_save_is_byte_deterministic(tmp_path):
+    values = np.linspace(0.0, 1.0, 257)  # exercise non-terminating binary fractions
+    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_samples(p1, values, "r", 1, {"alpha": 1.1})
+    save_samples(p2, values, "r", 1, {"alpha": 1.1})
+    assert p1.read_bytes() == p2.read_bytes()

@@ -20,33 +20,33 @@ from prtail.theory import (
 def test_factor_frozen_value():
     # independent high-precision evaluation of c^a / (d^a - c^a d)
     # at (0.5, 8.2, 1.1) gives log10 y = -1.13012237337758706...
-    pred = factor(c=0.5, d=8.2, alpha=1.1)
-    assert pred.y == pytest.approx(0.07411013879486364, abs=1e-16)
-    assert pred.log10_y == pytest.approx(-1.1301223733775871, abs=1e-13)
+    y = factor(c=0.5, d=8.2, alpha=1.1)
+    assert y == pytest.approx(0.07411013879486364, abs=1e-16)
+    assert np.log10(y) == pytest.approx(-1.1301223733775871, abs=1e-13)
 
 
 def test_factor_matches_direct_formula():
     c, d, alpha = 0.9, 8.2, 1.1
-    pred = factor(c=c, d=d, alpha=alpha)
-    assert pred.y == pytest.approx(c**alpha / (d**alpha - c**alpha * d), rel=1e-15)
+    y = factor(c=c, d=d, alpha=alpha)
+    assert y == pytest.approx(c**alpha / (d**alpha - c**alpha * d), rel=1e-15)
 
 
 def test_factor_increases_in_c_and_vanishes_at_zero():
     d, alpha = 8.2, 1.1
     c_grid = np.linspace(0.01, 0.99, 50)
-    ys = np.array([factor(c=float(c), d=d, alpha=alpha).y for c in c_grid])
+    ys = np.array([factor(c=float(c), d=d, alpha=alpha) for c in c_grid])
     assert np.all(np.diff(ys) > 0)
-    assert factor(c=1e-9, d=d, alpha=alpha).y < 1e-9
-    assert factor(c=0.9, d=d, alpha=alpha).y > factor(c=0.5, d=d, alpha=alpha).y
+    assert factor(c=1e-9, d=d, alpha=alpha) < 1e-9
+    assert factor(c=0.9, d=d, alpha=alpha) > factor(c=0.5, d=d, alpha=alpha)
 
 
 def test_factor_positive_across_validity_grid():
     for c in (0.05, 0.5, 0.95):
         for d in (1.01, 2.0, 8.2, 50.0):
             for alpha in (1.01, 1.1, 2.5, 4.0):
-                pred = factor(c=c, d=d, alpha=alpha)
-                assert pred.y > 0
-                assert np.isfinite(pred.log10_y)
+                y = factor(c=c, d=d, alpha=alpha)
+                assert y > 0
+                assert np.isfinite(np.log10(y))
 
 
 def test_factor_domain_errors():
