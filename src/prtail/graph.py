@@ -22,14 +22,12 @@ import numpy as np
 
 from . import accel
 from .errors import ParameterError, ParseError
+from .samples import write_table
 
 DANGLING_POLICIES = ("redistribute", "drop")
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
 _MAX_ID = np.iinfo(np.int64).max
-# rows per formatted chunk of the writers: one join per chunk keeps the
-# text of a few MB in memory, not the whole file
-_WRITE_CHUNK = 1 << 16
 _PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
 
 
@@ -205,12 +203,11 @@ def load_edge_list(path, keep_duplicates: bool = False) -> DirectedGraph:
 
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Edge lines under original ids; parse_edge_list round-trips it."""
-    with open(path, "w") as fh:
-        fh.write(f"# directed edge list: {g.n} nodes, {g.m} edges\n")
-        for start in range(0, g.m, _WRITE_CHUNK):
-            src = g.original_ids[g.src[start : start + _WRITE_CHUNK]].tolist()
-            dst = g.original_ids[g.dst[start : start + _WRITE_CHUNK]].tolist()
-            fh.write("".join(f"{u} {v}\n" for u, v in zip(src, dst)))
+    # each node's id is formatted once, and rows look theirs up by
+    # dense id: no id column of edge length is gathered
+    ids = list(map(str, g.original_ids.tolist()))
+    head = f"# directed edge list: {g.n} nodes, {g.m} edges\n"
+    write_table(path, head, lambda u, v: f"{ids[u]} {ids[v]}\n", g.src, g.dst)
 
 
 @dataclass(frozen=True)
@@ -278,13 +275,7 @@ def pagerank(
 
 def save_pagerank(pv: PageRankVector, g: DirectedGraph, path) -> None:
     """"node value" lines under original ids, with a run-metadata header."""
-    with open(path, "w") as fh:
-        fh.write(f"# c: {pv.c!r}\n")
-        fh.write(f"# iterations: {pv.iterations}\n")
-        fh.write(f"# residual: {pv.residual!r}\n")
-        fh.write(f"# converged: {'true' if pv.converged else 'false'}\n")
-        for start in range(0, g.n, _WRITE_CHUNK):
-            nodes = g.original_ids[start : start + _WRITE_CHUNK].tolist()
-            values = pv.values[start : start + _WRITE_CHUNK].tolist()
-            fh.write("".join(f"{node} {value!r}\n" for node, value in zip(nodes, values)))
+    head = f"# c: {pv.c!r}\n# iterations: {pv.iterations}\n# residual: {pv.residual!r}\n"
+    head += f"# converged: {'true' if pv.converged else 'false'}\n"
+    write_table(path, head, lambda node, value: f"{node} {value!r}\n", g.original_ids, pv.values)
 

@@ -56,19 +56,3 @@ def generate(params: GrowthParams) -> DirectedGraph:
     )
     return from_edges(src, dst, n=params.n_final)
 
-
-def attachment_probabilities(in_degrees, beta: float) -> np.ndarray:
-    """Per-node target law of a single new link: beta/n uniform mass
-    plus (1-beta) proportional to in-degree, uniform while all
-    in-degrees are zero."""
-    degrees = np.asarray(in_degrees, dtype=float)
-    if degrees.ndim != 1 or degrees.size == 0:
-        raise ParameterError("in_degrees must be a nonempty 1-d array")
-    if np.any(degrees < 0):
-        raise ParameterError("in_degrees must be nonnegative")
-    if not 0 <= beta <= 1:
-        raise ParameterError(f"beta must lie in [0, 1], got {beta}")
-    n = degrees.size
-    total = degrees.sum()
-    preferential = degrees / total if total > 0 else np.full(n, 1.0 / n)
-    return beta / n + (1.0 - beta) * preferential

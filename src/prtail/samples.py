@@ -1,10 +1,28 @@
-"""Text export of sample arrays with '#'-prefixed header lines."""
+"""Text export of array-sized tables: sample arrays, CCDFs, edge lists
+and PageRank vectors all go through write_table."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 import numpy as np
+
+# rows per formatted chunk: one join and one write per chunk keep a few
+# MB of text in memory, not the whole file
+CHUNK_ROWS = 1 << 16
+
+
+def write_table(path, head: str, row, *columns) -> None:
+    """Write head, then row(*values) for each index of the equal-length
+    array columns, where values are that index's entries as Python
+    scalars (tolist): repr of a float is its shortest round-trip text,
+    and int64 ids stay exact. Rows are formatted, joined and written
+    CHUNK_ROWS at a time."""
+    with open(path, "w") as fh:
+        fh.write(head)
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            chunk = [column[start : start + CHUNK_ROWS].tolist() for column in columns]
+            fh.write("".join(map(row, *chunk)))
 
 
 def _format_value(v) -> str:
@@ -26,16 +44,7 @@ def save_samples(path: str | Path, values: np.ndarray, source: str, seed: int, m
     np.loadtxt(path, comments="#") reads the values back exactly.
     """
     integral = np.issubdtype(values.dtype, np.integer)
-    with open(path, "w") as fh:
-        fh.write(f"# source: {source}\n")
-        fh.write(f"# seed: {seed}\n")
-        fh.write(f"# count: {values.size}\n")
-        fh.write(f"# dtype: {'int' if integral else 'float'}\n")
-        for k in sorted(meta):
-            fh.write(f"# {k}: {_format_value(meta[k])}\n")
-        if integral:
-            for v in values:
-                fh.write(f"{int(v)}\n")
-        else:
-            for v in values:
-                fh.write(f"{float(v)!r}\n")
+    head = f"# source: {source}\n# seed: {seed}\n# count: {values.size}\n"
+    head += f"# dtype: {'int' if integral else 'float'}\n"
+    head += "".join(f"# {k}: {_format_value(meta[k])}\n" for k in sorted(meta))
+    write_table(path, head, lambda v: f"{v!r}\n", values)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, ParameterError
+from .samples import write_table
 
 DEFAULT_QUANTILE_BAND = (0.99, 0.9999)
 DEFAULT_TOP_FRACTION = 0.1
@@ -88,19 +89,19 @@ def ccdf(samples) -> CcdfTable:
 
 def save_ccdf(table: CcdfTable, path) -> None:
     """Two-column CSV, one row per distinct value."""
-    with open(path, "w") as fh:
-        fh.write("x,p\n")
-        for x, p in zip(table.x, table.p):
-            fh.write(f"{float(x)!r},{float(p)!r}\n")
+    write_table(path, "x,p\n", lambda x, p: f"{x!r},{p!r}\n", table.x, table.p)
 
 
 def save_ccdf_loglog(table: CcdfTable, path) -> None:
     """Whitespace-separated log10 columns; rows with x <= 0 are dropped."""
     keep = table.x > 0
-    with open(path, "w") as fh:
-        fh.write("# log10_x log10_p\n")
-        for x, p in zip(table.x[keep], table.p[keep]):
-            fh.write(f"{math.log10(x)!r} {math.log10(p)!r}\n")
+    write_table(
+        path,
+        "# log10_x log10_p\n",
+        lambda x, p: f"{math.log10(x)!r} {math.log10(p)!r}\n",
+        table.x[keep],
+        table.p[keep],
+    )
 
 
 @dataclass(frozen=True)

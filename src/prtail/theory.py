@@ -18,7 +18,7 @@ without sharing any of its code paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,10 +29,14 @@ from .fixedpoint import ModelParams
 from .rvmodel import TailSpec
 
 DEFAULT_S_MIN = 1e-6
-DEFAULT_S_MAX = 1e2
-DEFAULT_N_POINTS = 2048
-DEFAULT_SWEEP_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 10_000
+# solve_lst's grid: N_POINTS log-spaced arguments on [s_min, S_MAX],
+# swept until the sup-norm change is at most SWEEP_TOL
+S_MAX = 1e2
+N_POINTS = 2048
+SWEEP_TOL = 1e-12
+# second_moment_from_lst's fit window in s
+MOMENT_WINDOW = (1e-4, 1e-3)
 # pareto_lst's table: TABLE_POINTS log-spaced arguments on [W_FLOOR, W_MAX]
 W_FLOOR = 1e-9
 W_MAX = 16.0
@@ -109,7 +113,6 @@ class LstGrid:
 
     s: np.ndarray
     r: np.ndarray
-    f_oracle: object = field(repr=False)
     sweeps: int = 0
 
     def __post_init__(self):
@@ -127,9 +130,6 @@ def solve_lst(
     params: ModelParams,
     f_oracle,
     s_min: float = DEFAULT_S_MIN,
-    s_max: float = DEFAULT_S_MAX,
-    n_points: int = DEFAULT_N_POINTS,
-    tol: float = DEFAULT_SWEEP_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> LstGrid:
     """Fixed point of the transform equation on a log-spaced grid.
@@ -140,21 +140,19 @@ def solve_lst(
     interpolation error stays O(s^2) and moment extraction through
     second order survives. Arguments below the grid use the expansion
     1 - s, exact to O(s^2). Sweeps run from r = exp(-s) until the
-    sup-norm change is at most tol. c/d < 1 makes the map
+    sup-norm change is at most SWEEP_TOL. c/d < 1 makes the map
     contractive, so failure to converge within max_sweeps raises a
     numeric error.
     """
-    if not (0 < s_min < s_max):
-        raise ParameterError(f"need 0 < s_min < s_max, got ({s_min}, {s_max})")
-    if n_points < 2:
-        raise ParameterError(f"n_points must be at least 2, got {n_points}")
-    s = np.geomspace(s_min, s_max, n_points)
+    if not (0 < s_min < S_MAX):
+        raise ParameterError(f"need 0 < s_min < {S_MAX}, got {s_min}")
+    s = np.geomspace(s_min, S_MAX, N_POINTS)
     log_s0 = math.log(s_min)
-    h = (math.log(s_max) - log_s0) / (n_points - 1)
+    h = (math.log(S_MAX) - log_s0) / (N_POINTS - 1)
     arg = (params.c / params.d) * s
     pos = (np.log(arg) - log_s0) / h
     below = pos < 0
-    j = np.clip(np.floor(pos).astype(np.int64), 0, n_points - 2)
+    j = np.clip(np.floor(pos).astype(np.int64), 0, N_POINTS - 2)
     w = np.clip(pos - j, 0.0, 1.0)
     decay = np.exp(-(1.0 - params.c) * s)
     r = np.exp(-s)
@@ -165,10 +163,10 @@ def solve_lst(
         nxt = np.asarray(f_oracle(1.0 - r_arg), dtype=float) * decay
         delta = float(np.abs(nxt - r).max())
         r = nxt
-        if delta <= tol:
-            return LstGrid(s=s, r=r, f_oracle=f_oracle, sweeps=sweep)
+        if delta <= SWEEP_TOL:
+            return LstGrid(s=s, r=r, sweeps=sweep)
     raise NumericError(
-        f"transform iteration did not reach sup-norm {tol} within {max_sweeps} sweeps"
+        f"transform iteration did not reach sup-norm {SWEEP_TOL} within {max_sweeps} sweeps"
     )
 
 
@@ -181,19 +179,19 @@ def mean_from_lst(grid: LstGrid) -> float:
     return float((1.0 - grid.r[0]) / grid.s[0])
 
 
-def second_moment_from_lst(grid: LstGrid, window=(1e-4, 1e-3)) -> float:
+def second_moment_from_lst(grid: LstGrid) -> float:
     """E R^2 from the grid by extrapolating 2(r(s) - 1 + s)/s^2 to 0.
 
     The quotient equals eta2 - (eta3/3) s + O(s^2); a linear fit over
     a small-s window removes the leading term while staying above the
-    cancellation floor near machine epsilon. The default window sits
-    high enough that the recursion's child arguments stay on-grid, so
-    the below-grid expansion cannot disturb the s^2 coefficient.
+    cancellation floor near machine epsilon. The window, MOMENT_WINDOW,
+    sits high enough that the recursion's child arguments stay on-grid,
+    so the below-grid expansion cannot disturb the s^2 coefficient.
     """
-    lo, hi = window
+    lo, hi = MOMENT_WINDOW
     mask = (grid.s >= lo) & (grid.s <= hi)
     if int(mask.sum()) < 2:
-        raise ParameterError(f"window {window} covers fewer than 2 grid points")
+        raise ParameterError(f"window {MOMENT_WINDOW} covers fewer than 2 grid points")
     s = grid.s[mask]
     q = 2.0 * (grid.r[mask] - 1.0 + s) / s**2
     slope_intercept = np.polyfit(s, q, 1)

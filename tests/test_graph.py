@@ -15,6 +15,7 @@ from prtail.graph import (
     save_pagerank,
     write_edge_list,
 )
+from prtail.samples import CHUNK_ROWS
 
 
 def pagerank_dense_oracle(g, c, dangling="redistribute"):
@@ -355,7 +356,7 @@ def _sparse_graph(seed, n, m):
 
 
 def test_write_edge_list_bytes_match_reference(tmp_path):
-    chunk = graph_module._WRITE_CHUNK
+    chunk = CHUNK_ROWS
     g = _sparse_graph(4, 1000, 2 * chunk + 123)
     write_edge_list(g, tmp_path / "new.txt")
     _write_edge_list_reference(g, tmp_path / "ref.txt")
@@ -363,7 +364,7 @@ def test_write_edge_list_bytes_match_reference(tmp_path):
 
 
 def test_save_pagerank_bytes_match_reference(tmp_path):
-    chunk = graph_module._WRITE_CHUNK
+    chunk = CHUNK_ROWS
     n = chunk + 777
     g = _sparse_graph(5, n, 2 * n)
     rng = np.random.default_rng(6)

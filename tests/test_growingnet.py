@@ -4,37 +4,8 @@ import numpy as np
 import pytest
 
 from prtail.errors import ParameterError
-from prtail.growingnet import GrowthParams, attachment_probabilities, generate
+from prtail.growingnet import GrowthParams, generate
 from prtail.tailstats import fit_tail_fraction
-
-
-def test_attachment_probabilities_hand_examples():
-    # all in-degrees zero: uniform regardless of beta
-    assert np.allclose(attachment_probabilities([0, 0, 0], 0.7), [1 / 3, 1 / 3, 1 / 3])
-    # pure preferential
-    assert np.allclose(attachment_probabilities([3, 1], 0.0), [0.75, 0.25])
-    # mixed: 0.4/2 + 0.6 * (3/4, 1/4)
-    assert np.allclose(attachment_probabilities([3, 1], 0.4), [0.65, 0.35])
-    # pure uniform ignores degrees
-    assert np.allclose(attachment_probabilities([100, 0, 0, 0], 1.0), [0.25] * 4)
-
-
-def test_attachment_probabilities_sum_to_one():
-    rng = np.random.default_rng(2)
-    degrees = rng.integers(0, 50, 30)
-    for beta in (0.0, 0.2, 0.5, 1.0):
-        p = attachment_probabilities(degrees, beta)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(p >= 0)
-
-
-def test_attachment_probabilities_validation():
-    with pytest.raises(ParameterError):
-        attachment_probabilities([], 0.5)
-    with pytest.raises(ParameterError):
-        attachment_probabilities([-1, 2], 0.5)
-    with pytest.raises(ParameterError):
-        attachment_probabilities([1, 2], 1.5)
 
 
 def test_growth_params_validation():

@@ -1,12 +1,26 @@
 """Text export of sample arrays: header lines and exact values."""
 
 import numpy as np
+import pytest
 
-from prtail.samples import save_samples
+from prtail.samples import CHUNK_ROWS, save_samples
 
 
 def _header(path):
     return [line for line in path.read_text().splitlines() if line.startswith("#")]
+
+
+def _save_samples_reference(path, values, source, seed, alpha):
+    """save_samples with meta {"alpha": alpha}, one write per line."""
+    integral = np.issubdtype(values.dtype, np.integer)
+    with open(path, "w") as fh:
+        fh.write(f"# source: {source}\n")
+        fh.write(f"# seed: {seed}\n")
+        fh.write(f"# count: {values.size}\n")
+        fh.write(f"# dtype: {'int' if integral else 'float'}\n")
+        fh.write(f"# alpha: {alpha!r}\n")
+        for v in values:
+            fh.write(f"{int(v)}\n" if integral else f"{float(v)!r}\n")
 
 
 def test_header_lines_in_order(tmp_path):
@@ -59,3 +73,17 @@ def test_save_is_byte_deterministic(tmp_path):
     save_samples(p1, values, "r", 1, {"alpha": 1.1})
     save_samples(p2, values, "r", 1, {"alpha": 1.1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3])
+@pytest.mark.parametrize("kind", ["float", "int"])
+def test_save_samples_bytes_match_reference(tmp_path, rows, kind):
+    rng = np.random.default_rng(rows)
+    if kind == "float":
+        values = rng.random(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    else:
+        values = rng.integers(0, 2**62, rows, dtype=np.int64)
+        values[-1:] = 2**62
+    save_samples(tmp_path / "new.txt", values, "r", 5, {"alpha": 1.1})
+    _save_samples_reference(tmp_path / "ref.txt", values, "r", 5, 1.1)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()

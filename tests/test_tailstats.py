@@ -1,11 +1,14 @@
 """CCDF tables, tail-index fits, and log-offset measurement."""
 
+import math
+
 import numpy as np
 import pytest
 
 from prtail.errors import DegenerateFitError, ParameterError
 from prtail.rng import stream
 from prtail.rvmodel import TailSpec, sample_t, tail_spec_for_mean
+from prtail.samples import CHUNK_ROWS
 from prtail.tailstats import (
     CcdfTable,
     ccdf,
@@ -17,6 +20,32 @@ from prtail.tailstats import (
     save_tail_fit,
     x_min_for_top_fraction,
 )
+
+
+def _save_ccdf_reference(table, path):
+    """save_ccdf as one write per row."""
+    with open(path, "w") as fh:
+        fh.write("x,p\n")
+        for x, p in zip(table.x, table.p):
+            fh.write(f"{float(x)!r},{float(p)!r}\n")
+
+
+def _save_ccdf_loglog_reference(table, path):
+    """save_ccdf_loglog as one write per row kept."""
+    with open(path, "w") as fh:
+        fh.write("# log10_x log10_p\n")
+        for x, p in zip(table.x, table.p):
+            if x > 0:
+                fh.write(f"{math.log10(x)!r} {math.log10(p)!r}\n")
+
+
+def _table(rows, nonpositive=()):
+    """A CcdfTable of len(nonpositive) rows at the given x <= 0 values,
+    then `rows` rows at positive x of widely varying magnitude."""
+    rng = np.random.default_rng(rows)
+    positive = np.sort(10.0 ** rng.uniform(-300, 300, rows))
+    x = np.concatenate([nonpositive, positive])
+    return CcdfTable(x=x, p=np.arange(x.size, 0, -1) / x.size, n_samples=x.size)
 
 
 def test_ccdf_single_value():
@@ -198,3 +227,20 @@ def test_save_tail_fit_json(tmp_path):
     assert set(payload) == {"x_min", "alpha_ccdf", "n_tail", "stderr", "density_exponent"}
     assert payload["n_tail"] == 4
     assert payload["alpha_ccdf"] == fit.alpha_ccdf
+
+
+@pytest.mark.parametrize("rows", [1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3])
+def test_save_ccdf_bytes_match_reference(tmp_path, rows):
+    table = _table(rows)
+    save_ccdf(table, tmp_path / "new.csv")
+    _save_ccdf_reference(table, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3])
+def test_save_ccdf_loglog_bytes_match_reference(tmp_path, rows):
+    # the x <= 0 rows are dropped, so `rows` lines are written
+    table = _table(rows, nonpositive=[-2.5, -1e-300, 0.0])
+    save_ccdf_loglog(table, tmp_path / "new.txt")
+    _save_ccdf_loglog_reference(table, tmp_path / "ref.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
