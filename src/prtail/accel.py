@@ -3,16 +3,20 @@ generations, and the growth kernel.
 
 Both sums add float64 values one at a time in input order, exactly as
 an explicit loop over the edges or picks would. edge_push is one
-np.bincount call, which starts each bin from 0.0. segment_sums is one
-np.add.at call into the caller's array, which starts each segment from
-the value already there: from 0.0 it gives the same double as
-bincount, and from a partial sum it continues that sum, so a segment
-split across two calls ends on the same double as in one call. A
-bincount added to the partial sum afterwards would not: it rounds the
-new picks' subtotal first, and (a + b) + c is not a + (b + c) in
-floating point. gn_links is a Python loop over uniforms drawn in
-blocks from its own legacy RandomState, so it never touches the
-global np.random state.
+np.bincount call, which starts each bin from 0.0. segment_sums serves
+a grid of pools that share their picks: it finds each pick's segment
+once (one np.repeat), then per pool makes one gather and one np.add.at
+call into that pool's sums. np.add.at starts each segment from the
+value already there: from 0.0 it gives the same double as bincount,
+and from a partial sum it continues that sum, so a segment split
+across two calls ends on the same double as in one call. This rule
+holds for each pool on its own, so each pool's sums are those of a
+call with that pool alone. A bincount added to the partial sum
+afterwards would not keep it: it rounds the new picks' subtotal first,
+and (a + b) + c is not a + (b + c) in floating point. The pools stay
+separate 1-d arrays: a gather from one (n, K) array timed slower.
+gn_links is a Python loop over uniforms drawn in blocks from its own
+legacy RandomState, so it never touches the global np.random state.
 
 perfbench/run.py --trace 1 reports the time spent in each kernel
 (accel.edge_push_s, accel.segment_sums_s, accel.gn_links_s) inside
@@ -39,10 +43,13 @@ def edge_push(src, dst, node_weight, n):
     return np.bincount(dst, weights=node_weight[src], minlength=n)
 
 
-def segment_sums(pool, idx, counts, out):
-    """Add pool[idx] into out in pick order; segment i, which covers
-    counts[i] entries of idx, adds into out[i]."""
-    np.add.at(out, np.repeat(np.arange(counts.shape[0]), counts), pool[idx])
+def segment_sums(pools, idx, counts, outs):
+    """For each pool and its out, add pool[idx] into out in pick order;
+    segment i, which covers counts[i] entries of idx, adds into out[i].
+    The segment of each pick is found once for all pools."""
+    seg = np.repeat(np.arange(counts.shape[0]), counts)
+    for pool, out in zip(pools, outs):
+        np.add.at(out, seg, pool[idx])
 
 
 # uniforms drawn per refill; the legacy stream is the same whatever the

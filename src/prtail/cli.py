@@ -78,8 +78,7 @@ def _write_manifest(out_dir: str, command: str, parameters: dict, outputs: list)
         fh.write("\n")
 
 
-def _save_tail_artifacts(values, prefix: str, out: str, fraction: float, outputs: list) -> None:
-    table = ccdf(values)
+def _save_tail_artifacts(values, table, prefix: str, out: str, fraction: float, outputs: list) -> None:
     save_ccdf(table, os.path.join(out, f"{prefix}_ccdf.csv"))
     save_ccdf_loglog(table, os.path.join(out, f"{prefix}_ccdf_loglog.txt"))
     outputs += [f"{prefix}_ccdf.csv", f"{prefix}_ccdf_loglog.txt"]
@@ -92,27 +91,34 @@ def _save_tail_artifacts(values, prefix: str, out: str, fraction: float, outputs
     outputs.append(f"{prefix}_tail_fit.json")
 
 
-def _observed_offset(r_values, n_values):
-    """Vertical log-log offset between the two tails, or None when the
-    quantile band falls outside their common support (degenerate runs,
-    e.g. c close to 0 where R collapses to a point mass)."""
+def _observed_offset(r_values, n_table):
+    """Vertical log-log offset between the tail of R and the CCDF table
+    of N, or None when the quantile band falls outside their common
+    support (degenerate runs, e.g. c close to 0 where R collapses to a
+    point mass)."""
     try:
-        return log_ccdf_offset(ccdf(r_values), ccdf(n_values))
+        return log_ccdf_offset(ccdf(r_values), n_table)
     except ParameterError as exc:
         print(f"note: offset unavailable ({exc})", file=sys.stderr)
         return None
 
 
-def _run_model(params: ModelParams, pool: int, generations: int, seed: int):
-    """Solve for R and draw its reference N(T) sample; returns
-    (solve result, N sample, observed offset or None, log10 y(c))."""
-    model = params.in_degree_model()
-    result = solve_r(params, model, pool_size=pool, generations=generations, seed=seed)
+def _run_model(grid: list, pool: int, generations: int, seed: int):
+    """Solve for R at every c of the grid from one set of draws, and
+    draw the grid's reference N(T) sample once; returns (N sample, its
+    CCDF table, and per c a tuple of solve result, observed offset or
+    None, log10 y(c))."""
+    model = grid[0].in_degree_model()
+    results = solve_r(grid, model, pool_size=pool, generations=generations, seed=seed)
     # reference N(T) draws reuse the final generation's degree stream so
     # the offset comparison cancels shared extreme-draw noise
     n_values = model.sample(pool, final_generation_seed(seed, generations))
-    observed = _observed_offset(result.values, n_values)
-    return result, n_values, observed, math.log10(factor(params.c, params.d, params.alpha))
+    n_table = ccdf(n_values)
+    runs = [
+        (result, _observed_offset(result.values, n_table), math.log10(factor(p.c, p.d, p.alpha)))
+        for p, result in zip(grid, results)
+    ]
+    return n_values, n_table, runs
 
 
 def cmd_pagerank(args) -> int:
@@ -124,7 +130,7 @@ def cmd_pagerank(args) -> int:
     os.makedirs(out, exist_ok=True)
     outputs = ["pagerank.txt"]
     save_pagerank(pv, g, os.path.join(out, "pagerank.txt"))
-    _save_tail_artifacts(pv.values, "pagerank", out, args.xmin_fraction, outputs)
+    _save_tail_artifacts(pv.values, ccdf(pv.values), "pagerank", out, args.xmin_fraction, outputs)
     _write_manifest(
         out,
         "pagerank",
@@ -154,7 +160,9 @@ def cmd_model(args) -> int:
     check_top_fraction(args.xmin_fraction)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    result, n_values, observed, log10_y = _run_model(params, args.pool, args.generations, args.seed)
+    n_values, n_table, [(result, observed, log10_y)] = _run_model(
+        [params], args.pool, args.generations, args.seed
+    )
     outputs = ["r_samples.txt", "n_samples.txt", "diagnostics.csv", "offset.json"]
     save_samples(
         os.path.join(out, "r_samples.txt"),
@@ -183,8 +191,8 @@ def cmd_model(args) -> int:
         },
     )
     save_diagnostics(result.diagnostics, os.path.join(out, "diagnostics.csv"))
-    _save_tail_artifacts(result.values, "r", out, args.xmin_fraction, outputs)
-    _save_tail_artifacts(n_values, "n", out, args.xmin_fraction, outputs)
+    _save_tail_artifacts(result.values, ccdf(result.values), "r", out, args.xmin_fraction, outputs)
+    _save_tail_artifacts(n_values, n_table, "n", out, args.xmin_fraction, outputs)
     with open(os.path.join(out, "offset.json"), "w") as fh:
         json.dump(
             {
@@ -250,21 +258,18 @@ def _parse_c_grid(text: str) -> list:
 
 def cmd_compare(args) -> int:
     c_grid = _parse_c_grid(args.c)
-    # every grid value is checked before the first solve starts
+    # every grid value is checked before the solve starts
     grid_params = [ModelParams(c=c, d=args.d, alpha=args.alpha) for c in c_grid]
     check_solve_args(args.pool, args.generations, args.seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    rows = []
-    for params in grid_params:
-        _, _, observed, log10_y = _run_model(params, args.pool, args.generations, args.seed)
-        rows.append((params.c, log10_y, observed))
+    _, _, runs = _run_model(grid_params, args.pool, args.generations, args.seed)
     with open(os.path.join(out, "compare.csv"), "w") as fh:
         fh.write("c,predicted_log10_y,observed_offset,difference\n")
-        for c, predicted, observed in rows:
+        for params, (_, observed, predicted) in zip(grid_params, runs):
             if observed is None:
                 observed = float("nan")
-            fh.write(f"{c!r},{predicted!r},{observed!r},{observed - predicted!r}\n")
+            fh.write(f"{params.c!r},{predicted!r},{observed!r},{observed - predicted!r}\n")
     _write_manifest(
         out,
         "compare",

@@ -24,6 +24,16 @@ on from where the previous chunk left it. Summing a chunk's picks
 apart first (a bincount, or np.sum, which also adds pairwise) and
 adding that subtotal to the running sum would regroup the additions,
 and with them the rounding, wherever a cut falls.
+
+The counts, the pick indices and the seams of a generation depend on
+the seed, d and alpha, never on c. So solve_r takes a grid of damping
+values that share d and alpha and carries one pool per c through one
+set of draws: each chunk's indices are drawn and its seams searched
+once, and every pool adds its own gather of them into its own sums by
+the in-order rule above. Each c's pool is the same double, bit for
+bit, as a solve of that c alone. Each extra c holds one old pool and
+one array of sums (its next pool), about 16 bytes per pool member;
+the chunk temporaries are shared.
 """
 
 from __future__ import annotations
@@ -112,28 +122,34 @@ def final_generation_seed(seed: int, generations: int) -> int:
     return derive(seed, _TAG_GEN, generations)
 
 
-def iterate_generation(pool: np.ndarray, params: ModelParams, model, seed: int) -> np.ndarray:
-    """One rewrite of the pool through the right-hand side of the
-    equation; the next pool has as many members as this one. The
-    picks are drawn and summed _CHUNK at a time (see the module
-    docstring)."""
-    if pool.size == 0:
+def iterate_generation(pools: list, grid, model, seed: int) -> list:
+    """One rewrite of each pool through the right-hand side of the
+    equation with its own c of the grid; every next pool has as many
+    members as the pools. One draw of the counts and one pick stream
+    serve all pools, and the picks are drawn and summed _CHUNK at a
+    time (see the module docstring)."""
+    size = pools[0].size
+    if size == 0:
         raise StateError("cannot iterate from an empty pool")
-    counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
+    counts = np.asarray(model.sample(size, seed), dtype=np.int64)
     ends = np.cumsum(counts)
     total = int(ends[-1])
     rng = stream(seed, _TAG_PICK)
-    sums = np.zeros(pool.size)
+    sums = [np.zeros(size) for _ in pools]
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        idx = rng.integers(0, pool.size, size=hi - lo)
+        idx = rng.integers(0, size, size=hi - lo)
         # segments first..last hold picks lo..hi-1; a zero-count one
         # between them sums to 0, one at a seam is never touched
         first = int(np.searchsorted(ends, lo, side="right"))
         last = int(np.searchsorted(ends, hi - 1, side="right"))
         part = np.diff(np.minimum(ends[first:last + 1], hi), prepend=lo)
-        accel.segment_sums(pool, idx, part, sums[first:last + 1])
-    return (params.c / params.d) * sums + (1.0 - params.c)
+        accel.segment_sums(pools, idx, part, [out[first:last + 1] for out in sums])
+    # in place, the same rounding as (c/d) * sums + (1 - c)
+    for out, params in zip(sums, grid):
+        out *= params.c / params.d
+        out += 1.0 - params.c
+    return sums
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -204,45 +220,48 @@ def check_solve_args(pool_size: int, generations: int, seed: int) -> None:
 
 
 def solve_r(
-    params: ModelParams,
+    grid,
     model,
     pool_size: int = DEFAULT_POOL_SIZE,
     generations: int = DEFAULT_GENERATIONS,
     seed: int = 0,
-) -> SolveResult:
-    """Iterate the pool to distributional convergence.
+) -> list:
+    """Iterate one pool per ModelParams of the grid to distributional
+    convergence; returns one SolveResult per grid entry, in order.
 
-    The result carries one diagnostics row per generation (mean, KS
-    distance to the previous generation, top-10 values so heavy-tail
-    resampling stays auditable). A final KS above KS_THRESHOLD only
-    clears the converged flag; the final pool is still returned. The
-    pool starts from R = 1 identically: the exact mean, and the exact
-    solution when N = d is deterministic.
+    The grid's entries must share d and alpha, which with the seed fix
+    every draw (see the module docstring); model is their in-degree
+    model. Each result carries one diagnostics row per generation
+    (mean, KS distance to the previous generation, top-10 values so
+    heavy-tail resampling stays auditable). A final KS above
+    KS_THRESHOLD only clears the converged flag; the final pool is
+    still returned. The pools start from R = 1 identically: the exact
+    mean, and the exact solution when N = d is deterministic.
     """
+    if not grid:
+        raise ParameterError("the c grid must hold at least one ModelParams")
+    if any((p.d, p.alpha) != (grid[0].d, grid[0].alpha) for p in grid):
+        raise ParameterError("every ModelParams of a grid must share d and alpha")
     check_solve_args(pool_size, generations, seed)
-    pool = np.ones(pool_size)
-    diagnostics = []
+    pools = [np.ones(pool_size)] * len(grid)
+    diagnostics = [[] for _ in grid]
     for g in range(1, generations + 1):
-        nxt = iterate_generation(pool, params, model, derive(seed, _TAG_GEN, g))
-        diagnostics.append(
-            GenerationDiagnostics(
-                generation=g,
-                mean=float(nxt.mean()),
-                ks=ks_distance(nxt, pool),
-                top=_top_values(nxt),
+        nxt = iterate_generation(pools, grid, model, derive(seed, _TAG_GEN, g))
+        for k, pool in enumerate(nxt):
+            diagnostics[k].append(
+                GenerationDiagnostics(
+                    generation=g,
+                    mean=float(pool.mean()),
+                    ks=ks_distance(pool, pools[k]),
+                    top=_top_values(pool),
+                )
             )
-        )
-        pool = nxt
-    converged = diagnostics[-1].ks <= KS_THRESHOLD
-    return SolveResult(values=pool, diagnostics=tuple(diagnostics), converged=converged)
-
-
-def lower_bound_samples(model, params: ModelParams, n: int, seed: int) -> np.ndarray:
-    """Draws of (1-c)((c/d)N + 1), which R dominates stochastically."""
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
-    counts = np.asarray(model.sample(n, seed), dtype=float)
-    return (1.0 - params.c) * ((params.c / params.d) * counts + 1.0)
+            # the old pool goes once its KS row is taken
+            pools[k] = pool
+    return [
+        SolveResult(values=pool, diagnostics=tuple(rows), converged=rows[-1].ks <= KS_THRESHOLD)
+        for pool, rows in zip(pools, diagnostics)
+    ]
 
 
 def save_diagnostics(diagnostics, path) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .rng import check_seed, stream
+from .rng import stream
 
 # stream tags under a caller's master seed; sample_t and
 # InDegreeModel.sample share _TAG_T so that, given the same seed, the
@@ -71,35 +71,6 @@ class InDegreeModel:
     def sample(self, n: int, seed: int) -> np.ndarray:
         t = self.tail.sample(n, stream(seed, _TAG_T))
         return stream(seed, _TAG_MIX).poisson(t)
-
-
-@dataclass(frozen=True)
-class PoissonInDegree:
-    """Degenerate-T in-degree: N ~ Poisson(rate) with fixed rate."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not self.rate >= 0:
-            raise ParameterError(f"rate must be nonnegative, got {self.rate}")
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        return stream(seed, _TAG_MIX).poisson(self.rate, n)
-
-
-@dataclass(frozen=True)
-class ConstantInDegree:
-    """Deterministic in-degree: N identically equal to count."""
-
-    count: int
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ParameterError(f"count must be nonnegative, got {self.count}")
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        check_seed(seed)
-        return np.full(n, self.count, dtype=np.int64)
 
 
 def sample_t(spec: TailSpec, n: int, seed: int) -> np.ndarray:

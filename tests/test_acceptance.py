@@ -57,22 +57,23 @@ def run_c085():
     t0 = time.perf_counter()
     params = ModelParams(c=0.85, d=8.0, alpha=1.1)
     model = params.in_degree_model()
-    res = solve_r(params, model, pool_size=POOL, generations=GENERATIONS, seed=SEED)
+    [res] = solve_r([params], model, pool_size=POOL, generations=GENERATIONS, seed=SEED)
     n_counts = model.sample(POOL, final_generation_seed(SEED, GENERATIONS))
     return params, res, n_counts, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def runs_d82():
-    """Model runs for c in {0.1, 0.5, 0.9} at d=8.2, with total wall time."""
+    """Model runs for c in {0.1, 0.5, 0.9} at d=8.2, with total wall time.
+
+    One grid solve: each c's pool is bit for bit that of its own solve
+    (tests/test_fixedpoint.py), and the three share one N sample."""
     t0 = time.perf_counter()
-    runs = {}
-    for c in (0.1, 0.5, 0.9):
-        params = ModelParams(c=c, d=8.2, alpha=1.1)
-        model = params.in_degree_model()
-        res = solve_r(params, model, pool_size=POOL, generations=GENERATIONS, seed=SEED)
-        n_counts = model.sample(POOL, final_generation_seed(SEED, GENERATIONS))
-        runs[c] = (params, res, n_counts)
+    grid = [ModelParams(c=c, d=8.2, alpha=1.1) for c in (0.1, 0.5, 0.9)]
+    model = grid[0].in_degree_model()
+    results = solve_r(grid, model, pool_size=POOL, generations=GENERATIONS, seed=SEED)
+    n_counts = model.sample(POOL, final_generation_seed(SEED, GENERATIONS))
+    runs = {params.c: (params, res, n_counts) for params, res in zip(grid, results)}
     return runs, time.perf_counter() - t0
 
 

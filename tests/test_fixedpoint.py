@@ -12,13 +12,64 @@ from prtail.fixedpoint import (
     final_generation_seed,
     iterate_generation,
     ks_distance,
-    lower_bound_samples,
     save_diagnostics,
     solve_r,
 )
-from prtail.rng import stream
-from prtail.rvmodel import ConstantInDegree, InDegreeModel, PoissonInDegree
+from prtail.rng import check_seed, stream
+from prtail.rvmodel import InDegreeModel
 from prtail.tailstats import fit_tail_fraction
+
+
+# in-degree models that only these tests use: any object with
+# sample(n, seed) -> counts serves solve_r as its model
+
+
+class PoissonInDegree:
+    """Degenerate-T in-degree: N ~ Poisson(rate) with fixed rate, on
+    the stream InDegreeModel mixes with (tag 2)."""
+
+    def __init__(self, rate):
+        if not rate >= 0:
+            raise ParameterError(f"rate must be nonnegative, got {rate}")
+        self.rate = rate
+
+    def sample(self, n, seed):
+        return stream(seed, 2).poisson(self.rate, n)
+
+
+class ConstantInDegree:
+    """Deterministic in-degree: N identically equal to count."""
+
+    def __init__(self, count):
+        if count < 0:
+            raise ParameterError(f"count must be nonnegative, got {count}")
+        self.count = count
+
+    def sample(self, n, seed):
+        check_seed(seed)
+        return np.full(n, self.count, dtype=np.int64)
+
+
+def test_poisson_in_degree_mean():
+    counts = PoissonInDegree(8.2).sample(100_000, seed=4)
+    assert counts.mean() == pytest.approx(8.2, abs=3.0 * np.sqrt(8.2 / 100_000))
+    with pytest.raises(ParameterError):
+        PoissonInDegree(-1.0)
+
+
+def test_constant_in_degree():
+    counts = ConstantInDegree(8).sample(100, seed=0)
+    assert np.array_equal(counts, np.full(100, 8))
+    with pytest.raises(ParameterError):
+        ConstantInDegree(-1)
+    with pytest.raises(ParameterError):
+        ConstantInDegree(8).sample(10, seed=-3)
+
+
+def lower_bound_samples(model, params, n, seed):
+    """Draws of (1-c)((c/d)N + 1), which R dominates stochastically."""
+    counts = np.asarray(model.sample(n, seed), dtype=float)
+    return (1.0 - params.c) * ((params.c / params.d) * counts + 1.0)
 
 
 def test_model_params_validation():
@@ -43,11 +94,11 @@ def test_degenerate_in_degree_keeps_pool_at_one():
     # solution: each output is c*d*(1/d)*1 + (1-c) = 1, bit for bit
     # when c/d*d and the complement sum are exact (d a power of two)
     params = ModelParams(c=0.85, d=8.0, alpha=1.1)
-    nxt = iterate_generation(np.ones(500), params, ConstantInDegree(8), seed=1)
+    [nxt] = iterate_generation([np.ones(500)], [params], ConstantInDegree(8), seed=1)
     assert nxt.shape == (500,)
     assert np.all(nxt == 1.0)
     # solve_r starts from that same R = 1 pool, so every generation stays there
-    result = solve_r(params, ConstantInDegree(8), pool_size=1000, generations=3, seed=1)
+    [result] = solve_r([params], ConstantInDegree(8), pool_size=1000, generations=3, seed=1)
     assert np.all(result.values == 1.0)
     assert [row.ks for row in result.diagnostics] == [0.0, 0.0, 0.0]
 
@@ -55,30 +106,30 @@ def test_degenerate_in_degree_keeps_pool_at_one():
 def test_tiny_damping_collapses_to_one():
     params = ModelParams(c=1e-6, d=8.2, alpha=1.1)
     model = InDegreeModel(params.in_degree_model().tail)
-    nxt = iterate_generation(np.ones(10_000), params, model, seed=2)
+    [nxt] = iterate_generation([np.ones(10_000)], [params], model, seed=2)
     assert nxt.min() >= 1.0 - 1e-6
     assert nxt.max() <= 1.0 + 1e-3  # (c/d) * max count dominates the excess
 
 
 def test_zero_in_degree_gives_floor_exactly():
     params = ModelParams(c=0.3, d=8.2, alpha=1.1)
-    result = solve_r(params, ConstantInDegree(0), pool_size=1000, generations=1, seed=3)
+    [result] = solve_r([params], ConstantInDegree(0), pool_size=1000, generations=1, seed=3)
     assert np.all(result.values == 1.0 - 0.3)
 
 
 def test_empty_pool_is_a_state_error():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
     with pytest.raises(StateError):
-        iterate_generation(np.ones(0), params, ConstantInDegree(1), seed=0)
+        iterate_generation([np.ones(0)], [params], ConstantInDegree(1), seed=0)
 
 
 def test_solve_r_preconditions():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
     model = ConstantInDegree(3)
     with pytest.raises(ParameterError):
-        solve_r(params, model, pool_size=999, generations=1, seed=0)
+        solve_r([params], model, pool_size=999, generations=1, seed=0)
     with pytest.raises(ParameterError):
-        solve_r(params, model, pool_size=1000, generations=0, seed=0)
+        solve_r([params], model, pool_size=1000, generations=0, seed=0)
 
 
 def test_floor_holds_every_generation():
@@ -86,17 +137,21 @@ def test_floor_holds_every_generation():
     model = params.in_degree_model()
     pool = np.ones(2000)
     for g in range(1, 6):
-        pool = iterate_generation(pool, params, model, seed=g)
+        [pool] = iterate_generation([pool], [params], model, seed=g)
         assert pool.min() >= 1.0 - 0.9
 
 
-def _iterate_reference(pool, params, model, seed):
-    # one pass: every pick of the generation drawn and summed at once
-    counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
-    idx = stream(seed, fixedpoint._TAG_PICK).integers(0, pool.size, size=int(counts.sum()))
-    seg = np.repeat(np.arange(pool.size), counts)
-    sums = np.bincount(seg, weights=pool[idx], minlength=pool.size)
-    return (params.c / params.d) * sums + (1.0 - params.c)
+def _iterate_reference(pools, grid, model, seed):
+    # one pass per pool: every pick of the generation drawn and summed
+    # at once, each pool from its own draw of the counts and picks
+    nxt = []
+    for pool, params in zip(pools, grid):
+        counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
+        idx = stream(seed, fixedpoint._TAG_PICK).integers(0, pool.size, size=int(counts.sum()))
+        seg = np.repeat(np.arange(pool.size), counts)
+        sums = np.bincount(seg, weights=pool[idx], minlength=pool.size)
+        nxt.append((params.c / params.d) * sums + (1.0 - params.c))
+    return nxt
 
 
 class _FixedCounts:
@@ -126,13 +181,17 @@ SEAM_COUNTS = {
 def test_chunk_seams_are_exact(monkeypatch, chunk, case):
     if chunk is not None:
         monkeypatch.setattr(fixedpoint, "_CHUNK", chunk)
-    params = ModelParams(c=0.7, d=8.2, alpha=1.1)
+    grid = [ModelParams(c=0.7, d=8.2, alpha=1.1), ModelParams(c=0.3, d=8.2, alpha=1.1)]
     # values of very different scales make any change of summation order show
-    pool = np.random.default_rng(5).pareto(1.1, 50) * 1e3 + 1.0 / 3.0
+    rng = np.random.default_rng(5)
+    pools = [rng.pareto(1.1, 50) * 1e3 + 1.0 / 3.0, rng.pareto(1.1, 50) * 1e2 + 1.0 / 7.0]
     model = _FixedCounts(SEAM_COUNTS[case])
     for seed in (1, 2):
-        got = iterate_generation(pool, params, model, seed)
-        assert np.array_equal(got, _iterate_reference(pool, params, model, seed))
+        got = iterate_generation(pools, grid, model, seed)
+        ref = _iterate_reference(pools, grid, model, seed)
+        assert len(got) == 2
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
 
 
 def test_default_chunk_exact_multiple():
@@ -142,9 +201,9 @@ def test_default_chunk_exact_multiple():
     counts = np.zeros(1000, dtype=np.int64)
     counts[[3, 10, 500]] = [fixedpoint._CHUNK - 5, 10, fixedpoint._CHUNK - 5]
     model = _FixedCounts(counts)
-    assert np.array_equal(
-        iterate_generation(pool, params, model, 3), _iterate_reference(pool, params, model, 3)
-    )
+    [got] = iterate_generation([pool], [params], model, 3)
+    [ref] = _iterate_reference([pool], [params], model, 3)
+    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, None])
@@ -153,11 +212,48 @@ def test_chunked_solve_matches_one_pass_diagnostics(monkeypatch, chunk):
     model = params.in_degree_model()
     if chunk is not None:
         monkeypatch.setattr(fixedpoint, "_CHUNK", chunk)
-    chunked = solve_r(params, model, pool_size=2000, generations=4, seed=17)
+    [chunked] = solve_r([params], model, pool_size=2000, generations=4, seed=17)
     monkeypatch.setattr(fixedpoint, "iterate_generation", _iterate_reference)
-    one_pass = solve_r(params, model, pool_size=2000, generations=4, seed=17)
+    [one_pass] = solve_r([params], model, pool_size=2000, generations=4, seed=17)
     assert chunked.diagnostics == one_pass.diagnostics
     assert np.array_equal(chunked.values, one_pass.values)
+
+
+GRID = [ModelParams(c=c, d=8.2, alpha=1.1) for c in (0.1, 0.5, 0.9)]
+
+
+@pytest.fixture(scope="module")
+def single_c_solves():
+    """Each c of GRID solved on its own, at the default chunk size."""
+    model = GRID[0].in_degree_model()
+    return [solve_r([params], model, pool_size=2000, generations=4, seed=17)[0] for params in GRID]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_grid_solve_matches_single_c_solves(monkeypatch, single_c_solves, chunk):
+    # chunked single-c solves equal the default-chunk ones (see above),
+    # so one reference serves every chunk size
+    if chunk is not None:
+        monkeypatch.setattr(fixedpoint, "_CHUNK", chunk)
+    together = solve_r(GRID, GRID[0].in_degree_model(), pool_size=2000, generations=4, seed=17)
+    assert len(together) == len(GRID)
+    for result, alone in zip(together, single_c_solves):
+        assert np.array_equal(result.values, alone.values)
+        assert len(result.diagnostics) == 4
+        assert result.diagnostics == alone.diagnostics
+        assert result.converged == alone.converged
+    # the c values differ, so the pools must too
+    assert not np.array_equal(together[0].values, together[2].values)
+
+
+def test_grid_must_share_d_and_alpha():
+    model = ModelParams(c=0.5, d=8.2, alpha=1.1).in_degree_model()
+    for other in (ModelParams(c=0.9, d=8.0, alpha=1.1), ModelParams(c=0.9, d=8.2, alpha=1.5)):
+        with pytest.raises(ParameterError):
+            solve_r([ModelParams(c=0.5, d=8.2, alpha=1.1), other], model, pool_size=1000,
+                    generations=1, seed=0)
+    with pytest.raises(ParameterError):
+        solve_r([], model, pool_size=1000, generations=1, seed=0)
 
 
 def _peak_bytes(fn, *args):
@@ -171,9 +267,17 @@ def _peak_bytes(fn, *args):
 
 def test_generation_memory_is_bounded():
     # 10^7 picks; held at once they would take 24 bytes each
-    params = ModelParams(c=0.5, d=8.2, alpha=1.1)
-    peak = _peak_bytes(iterate_generation, np.ones(1000), params, ConstantInDegree(10**4), 1)
-    assert peak < 16 * 2**20
+    grid = [ModelParams(c=c, d=8.2, alpha=1.1) for c in (0.1, 0.5, 0.9)]
+    model = ConstantInDegree(10**4)
+    iterate_generation([np.ones(1000)], grid[:1], model, 1)  # first-call set-up off the books
+    peak_one = _peak_bytes(iterate_generation, [np.ones(1000)], grid[:1], model, 1)
+    peak_grid = _peak_bytes(iterate_generation, [np.ones(1000) for _ in grid], grid, model, 1)
+    assert peak_one < 16 * 2**20
+    assert peak_grid < 16 * 2**20
+    # the chunk temporaries are shared: each extra c adds its sums (and,
+    # in solve_r, its pool), 16 bytes per member, far below one chunk's
+    # 0.5 MiB gather, which a temporary held per pool would add
+    assert peak_grid < peak_one + 2 * 16 * 1000 + 2**16
 
 
 def test_ks_distance_memory_is_bounded():
@@ -252,7 +356,7 @@ def test_ks_distance_bit_identical_on_generation_pools():
     model = params.in_degree_model()
     pool = np.ones(5000)
     for g in range(1, 6):
-        nxt = iterate_generation(pool, params, model, seed=40 + g)
+        [nxt] = iterate_generation([pool], [params], model, seed=40 + g)
         before = (nxt.copy(), pool.copy())
         assert ks_distance(nxt, pool) == _ks_reference(nxt, pool)
         # the inputs are left as they were
@@ -263,12 +367,12 @@ def test_ks_distance_bit_identical_on_generation_pools():
 def test_solve_r_ks_column_matches_reference():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
     model = params.in_degree_model()
-    result = solve_r(params, model, pool_size=2000, generations=6, seed=21)
+    [result] = solve_r([params], model, pool_size=2000, generations=6, seed=21)
     pool = np.ones(2000)
     for row in result.diagnostics:
         g = row.generation
         # generation g is seeded as the last generation of a g-generation run
-        nxt = iterate_generation(pool, params, model, final_generation_seed(21, g))
+        [nxt] = iterate_generation([pool], [params], model, final_generation_seed(21, g))
         assert row.ks == _ks_reference(nxt, pool)
         pool = nxt
     assert np.array_equal(pool, result.values)
@@ -291,8 +395,8 @@ def test_ks_distance_rejects_nan_and_bad_shapes():
 def test_solve_r_reproducible_and_tagged():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
     model = params.in_degree_model()
-    a = solve_r(params, model, pool_size=1000, generations=3, seed=9)
-    b = solve_r(params, model, pool_size=1000, generations=3, seed=9)
+    [a] = solve_r([params], model, pool_size=1000, generations=3, seed=9)
+    [b] = solve_r([params], model, pool_size=1000, generations=3, seed=9)
     assert np.array_equal(a.values, b.values)
     assert a.values.shape == (1000,)
     assert a.values.dtype == np.float64
@@ -306,9 +410,9 @@ def test_generation_seeding_is_stage_consistent():
     # must reproduce solve_r's final pool: solve(g) = iterate(solve(g-1))
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
     model = params.in_degree_model()
-    full = solve_r(params, model, pool_size=1000, generations=3, seed=9)
-    partial = solve_r(params, model, pool_size=1000, generations=2, seed=9)
-    redo = iterate_generation(partial.values, params, model, final_generation_seed(9, 3))
+    [full] = solve_r([params], model, pool_size=1000, generations=3, seed=9)
+    [partial] = solve_r([params], model, pool_size=1000, generations=2, seed=9)
+    [redo] = iterate_generation([partial.values], [params], model, final_generation_seed(9, 3))
     assert np.array_equal(redo, full.values)
 
 
@@ -316,7 +420,7 @@ def test_mean_converges_to_one_with_finite_variance_tail():
     # alpha=2.5 has finite variance, so the generation means obey a CLT
     params = ModelParams(c=0.5, d=3.0, alpha=2.5)
     model = params.in_degree_model()
-    result = solve_r(params, model, pool_size=200_000, generations=12, seed=4)
+    [result] = solve_r([params], model, pool_size=200_000, generations=12, seed=4)
     assert result.values.mean() == pytest.approx(1.0, abs=0.01)
     assert result.converged
 
@@ -325,7 +429,7 @@ def test_tail_index_preserved_from_in_degree_to_r():
     # moderate-size version of the index-preservation property
     params = ModelParams(c=0.5, d=8.2, alpha=1.5)
     model = params.in_degree_model()
-    result = solve_r(params, model, pool_size=100_000, generations=15, seed=6)
+    [result] = solve_r([params], model, pool_size=100_000, generations=15, seed=6)
     counts = model.sample(100_000, final_generation_seed(6, 15))
     r_fit = fit_tail_fraction(result.values, 0.01)
     n_fit = fit_tail_fraction(counts.astype(float), 0.01)
@@ -344,7 +448,7 @@ def test_lower_bound_constant_cases():
 def test_lower_bound_is_dominated_midsize():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
     model = params.in_degree_model()
-    result = solve_r(params, model, pool_size=50_000, generations=10, seed=12)
+    [result] = solve_r([params], model, pool_size=50_000, generations=10, seed=12)
     bound = lower_bound_samples(model, params, 50_000, final_generation_seed(12, 10))
     # compare survival fractions on a shared grid above the median
     grid = np.quantile(bound, np.linspace(0.5, 0.999, 40))
@@ -356,13 +460,13 @@ def test_lower_bound_is_dominated_midsize():
 
 def test_poisson_in_degree_model_accepted():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
-    result = solve_r(params, PoissonInDegree(8.2), pool_size=1000, generations=2, seed=1)
+    [result] = solve_r([params], PoissonInDegree(8.2), pool_size=1000, generations=2, seed=1)
     assert result.values.min() >= 0.5
 
 
 def test_diagnostics_csv_format(tmp_path):
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
-    result = solve_r(params, ConstantInDegree(2), pool_size=1000, generations=2, seed=0)
+    [result] = solve_r([params], ConstantInDegree(2), pool_size=1000, generations=2, seed=0)
     path = tmp_path / "diag.csv"
     save_diagnostics(result.diagnostics, path)
     lines = path.read_text().splitlines()

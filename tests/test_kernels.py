@@ -57,19 +57,27 @@ def test_segment_sums_bitwise_parity():
     idx = rng.integers(0, 1000, counts.sum())
     # values of very different scales make any change of summation order show
     pool = rng.pareto(1.1, 1000) * 1e3 + 1.0 / 3.0
+    other = rng.pareto(1.5, 1000) * 1e5 + 1.0 / 11.0
     for start in (np.zeros(n), rng.pareto(1.1, n) * 1e2 + 1.0 / 7.0):
         ref = start.copy()
         _segment_sums_reference(pool, idx, counts, ref)
         one_call = start.copy()
-        accel.segment_sums(pool, idx, counts, one_call)
+        accel.segment_sums([pool], idx, counts, [one_call])
         assert np.array_equal(one_call, ref)
+        # two pools in one call: each sums as if it were alone
+        other_ref = start.copy()
+        _segment_sums_reference(other, idx, counts, other_ref)
+        both = [start.copy(), start.copy()]
+        accel.segment_sums([pool, other], idx, counts, both)
+        assert np.array_equal(both[0], ref)
+        assert np.array_equal(both[1], other_ref)
         # the same segments in two calls, cut 20 picks into segment 100
         cut = int(counts[:100].sum()) + 20
         head, tail = counts[:101].copy(), counts[100:].copy()
         head[-1], tail[0] = 20, 30
         two_calls = start.copy()
-        accel.segment_sums(pool, idx[:cut], head, two_calls[:101])
-        accel.segment_sums(pool, idx[cut:], tail, two_calls[100:])
+        accel.segment_sums([pool], idx[:cut], head, [two_calls[:101]])
+        accel.segment_sums([pool], idx[cut:], tail, [two_calls[100:]])
         assert np.array_equal(two_calls, ref)
 
 
@@ -78,7 +86,7 @@ def test_segment_sums_zero_counts():
     idx = np.array([0, 1, 2, 3, 4])
     pool = np.arange(5, dtype=float)
     a = np.zeros(4)
-    accel.segment_sums(pool, idx, counts, a)
+    accel.segment_sums([pool], idx, counts, [a])
     b = np.zeros(4)
     _segment_sums_reference(pool, idx, counts, b)
     assert np.array_equal(a, b)

@@ -7,9 +7,7 @@ from scipy.integrate import quad
 from prtail.errors import ParameterError
 from prtail.rng import stream
 from prtail.rvmodel import (
-    ConstantInDegree,
     InDegreeModel,
-    PoissonInDegree,
     TailSpec,
     pareto_scale_for_mean,
     sample_t,
@@ -116,22 +114,6 @@ def test_in_degree_coupling_with_t_stream():
     counts = InDegreeModel(spec).sample(500, seed=11)
     replay = stream(11, 2).poisson(t)
     assert np.array_equal(counts, replay)
-
-
-def test_poisson_in_degree_mean():
-    counts = PoissonInDegree(8.2).sample(100_000, seed=4)
-    assert counts.mean() == pytest.approx(8.2, abs=3.0 * np.sqrt(8.2 / 100_000))
-    with pytest.raises(ParameterError):
-        PoissonInDegree(-1.0)
-
-
-def test_constant_in_degree():
-    counts = ConstantInDegree(8).sample(100, seed=0)
-    assert np.array_equal(counts, np.full(100, 8))
-    with pytest.raises(ParameterError):
-        ConstantInDegree(-1)
-    with pytest.raises(ParameterError):
-        ConstantInDegree(8).sample(10, seed=-3)
 
 
 def test_sample_t_determinism_and_export(tmp_path):
