@@ -332,6 +332,17 @@ def test_package_import_loads_no_numerics():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_interpolation():
+    # the closed-form Pareto transform needs no interpolant, so the CLI's
+    # start-up does not pay for scipy.interpolate
+    code = "import prtail.cli, sys; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
