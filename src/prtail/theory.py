@@ -98,14 +98,16 @@ def pareto_lst(spec: TailSpec):
         w = np.asarray(s, dtype=float)
         if not np.all((w >= 0) & (w < np.inf)):
             raise ParameterError("LST argument must be finite and nonnegative")
-        # below the smallest normal double f rounds to 1, and z**-a0
-        # could overflow; w = 0 itself is set to 1 at the end
-        z = np.maximum(m * w, np.finfo(float).tiny)
+        # below the smallest normal double, w = 0 included, f rounds to
+        # 1 and z**-a0 could overflow
+        z = m * w
+        one = z < np.finfo(float).tiny
+        z = np.where(one, 1.0, z)
         h = exp1(z) if a0 == 0 else z**-a0 * gammaincc(a0, z) * gamma(a0)
         decay = np.exp(-z)
         for j in range(1, k + 1):
             h = (z * h - decay) / (a0 - j)
-        out = np.where(w > 0, alpha * h, 1.0)
+        out = np.where(one, 1.0, alpha * h)
         return out if out.ndim else float(out)
 
     return f
