@@ -31,14 +31,46 @@ values that share d and alpha and carries one pool per c through one
 set of draws: each chunk's indices are drawn and its seams searched
 once, and every pool adds its own gather of them into its own sums by
 the in-order rule above. Each c's pool is the same double, bit for
-bit, as a solve of that c alone. Each extra c holds one old pool and
-one array of sums (its next pool), about 16 bytes per pool member;
-the chunk temporaries are shared.
+bit, as a solve of that c alone.
+
+solve_r runs on two threads, with nothing to set. The main thread
+does the sums of each generation: the pick draws, the seam search and
+segment_sums, through iterate_generation. One helper thread, started
+and joined by each solve_r call, does what the sums do not wait for:
+while generation g is summed, it takes the diagnostics rows of
+generation g-1, then draws the counts of generation g+1 (model.sample
+and their running ends). numpy lets go of the GIL in the gathers,
+np.add.at, the sorts, the searches and the draws, so on two CPUs the
+threads compute at once; on one they take turns. The main thread
+hands the helper its calls and takes their results in order. A call
+that raises hands its exception to the main thread, which raises it;
+on any exception the helper skips the calls it has not started and is
+joined before solve_r returns.
+
+Threading changes no byte. Each random stream has one consumer in its
+original order: the degree streams (tags 1 and 2) the helper, the pick
+stream the main thread. The sums are the same np.add.at calls in the
+same order. A diagnostics row reads only pools that are finished: the
+mean is taken on the pool in its own order, the KS distance is
+integer ranks, each divided by its own sample size (see ks_distance),
+and the top 10 are read off the sorted pool. The rows of generation g-1
+compare its pools with those of g-2, which nothing gathers from any
+more, so the helper sorts those in place and copies each pool of g-1
+into one sorted buffer.
+
+Memory, in pool-sized arrays for a grid of C values of c: while
+generation g is summed and the rows of g-1 are taken, the C pools of
+g-1, the C arrays of sums, the C pools of g-2, the sorted buffer and
+the running ends, 3C + 2; then the helper drops generation g-2 and
+draws the next counts beside 2C + 1 of them. The chunk temporaries of
+both threads, a few MiB, come on top.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +82,14 @@ from .rvmodel import InDegreeModel, tail_spec_for_mean
 
 _TAG_PICK = 3  # pool-index stream; tags 1 and 2 belong to the degree model
 _TAG_GEN = 4   # per-generation sub-seed derivation
-# picks drawn and summed at once: 0.5 MiB per pick-sized temporary
-_CHUNK = 1 << 16
+# picks drawn and summed at once: 0.25 MiB per pick-sized temporary.
+# In solve_r these temporaries add to the peak that the helper's work
+# sets, and larger chunks run no faster.
+_CHUNK = 1 << 15
+# sorted values ranked at once in ks_distance: 128 KiB per temporary.
+# Much smaller chunks cost more time than they save memory: in solve_r
+# every numpy call hands the GIL to the other thread and waits for it.
+_KS_CHUNK = 1 << 14
 
 DEFAULT_POOL_SIZE = 10**6
 DEFAULT_GENERATIONS = 30
@@ -122,17 +160,19 @@ def final_generation_seed(seed: int, generations: int) -> int:
     return derive(seed, _TAG_GEN, generations)
 
 
-def iterate_generation(pools: list, grid, model, seed: int) -> list:
+def iterate_generation(pools: list, grid, model, seed: int, ends=None) -> list:
     """One rewrite of each pool through the right-hand side of the
     equation with its own c of the grid; every next pool has as many
     members as the pools. One draw of the counts and one pick stream
     serve all pools, and the picks are drawn and summed _CHUNK at a
-    time (see the module docstring)."""
+    time (see the module docstring). ends, when given, are the running
+    ends of model.sample(size, seed), drawn ahead as solve_r's helper
+    does; the model is then not called."""
     size = pools[0].size
     if size == 0:
         raise StateError("cannot iterate from an empty pool")
-    counts = np.asarray(model.sample(size, seed), dtype=np.int64)
-    ends = np.cumsum(counts)
+    if ends is None:
+        ends = _running_ends(model, size, seed)
     total = int(ends[-1])
     rng = stream(seed, _TAG_PICK)
     sums = [np.zeros(size) for _ in pools]
@@ -152,61 +192,80 @@ def iterate_generation(pools: list, grid, model, seed: int) -> list:
     return sums
 
 
+def _running_ends(model, size: int, seed: int) -> np.ndarray:
+    """Where each output's picks end in the generation's pick stream:
+    the running sum of one draw of the counts."""
+    return np.cumsum(np.asarray(model.sample(size, seed), dtype=np.int64))
+
+
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Exact two-sample Kolmogorov-Smirnov statistic.
 
-    Both samples are copied into one buffer and each half is sorted,
-    then the halves are merged by a stable argsort (its run detection
-    makes the merge linear). A
-    running count of a-members along the merged order gives, at each
-    position, the integer number of a-values at or below it, and the
-    position plus one minus that count is the number of b-values. Only
-    the last position of each run of equal values is kept, so the
-    pairs are exactly the right-continuous CDF counts at every distinct
-    sample value. The counts stay integers until each is divided by
-    its own sample size, which is the same arithmetic as evaluating
-    both empirical CDFs on the pooled grid: the statistic, and with it
+    The statistic is the largest |F_a(v) - F_b(v)| over the sample
+    values v, with F the right-continuous empirical CDFs. Each sample
+    is put in ascending order (a sorted copy; a sample already in
+    order is used as it is, and neither input is changed). Then, for
+    the last value of each run of equal values in either sample, the
+    integer count of values at or below it comes from its own position
+    and from a searchsorted in the other sample, _KS_CHUNK values at a
+    time, each search in the window the chunk's first and last values
+    bound. The counts stay integers until each is divided by its own
+    sample size, which is the same arithmetic as evaluating both
+    empirical CDFs on the pooled grid: the statistic, and with it
     diagnostics.csv, is identical bit for bit. NaN has no place in the
     order (it does not equal itself, so its ties cannot be grouped)
-    and is rejected. Each buffer is dropped or reused once spent, so
-    the peak is the gather of the merged values: 24 bytes per sample.
+    and is rejected. Memory is the sorted copies plus a few chunk-sized
+    temporaries.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
         raise ParameterError("KS distance requires two nonempty 1-d samples")
-    na, nb = a.size, b.size
-    values = np.concatenate([a, b])
-    values[:na].sort()
-    values[na:].sort()
+    a, b = _ascending(a), _ascending(b)
     # the sort puts NaN last, so each sample's last value tells
-    if np.isnan(values[na - 1]) or np.isnan(values[-1]):
+    if np.isnan(a[-1]) or np.isnan(b[-1]):
         raise ParameterError("KS distance is undefined for NaN samples")
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    last = np.empty(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=last[:-1])
-    last[-1] = True
-    pos = np.flatnonzero(last)
-    del values, last
-    # reuse the index buffer: membership in a, then its running count
-    np.less(order, na, out=order)
-    np.cumsum(order, out=order)
-    rank_a = order[pos]
-    del order
-    # b's count, in place of the positions
-    pos += 1
-    pos -= rank_a
-    gap = np.divide(rank_a, na)
-    del rank_a
-    np.subtract(gap, np.divide(pos, nb), out=gap)
-    return float(np.abs(gap, out=gap).max())
+    return max(_largest_gap(a, b), _largest_gap(b, a))
 
 
-def _top_values(samples: np.ndarray, k: int = _TOP_COUNT) -> tuple:
-    k = min(k, samples.size)
-    top = np.sort(np.partition(samples, samples.size - k)[samples.size - k:])[::-1]
-    return tuple(float(v) for v in top)
+def _ascending(x: np.ndarray) -> np.ndarray:
+    """x when it is in ascending order (NaN never is, past one value),
+    else a sorted copy."""
+    for lo in range(0, x.size - 1, _KS_CHUNK):
+        hi = min(lo + _KS_CHUNK, x.size - 1)
+        if not np.all(x[lo:hi] <= x[lo + 1:hi + 1]):
+            return np.sort(x)
+    return x
+
+
+def _largest_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |F_a(v) - F_b(v)| over the values v of a; a and b are
+    in ascending order."""
+    gap = 0.0
+    for lo in range(0, a.size, _KS_CHUNK):
+        hi = min(lo + _KS_CHUNK, a.size)
+        # with the next chunk's first value, so that a run of equal
+        # values going on past hi ends in the chunk where it ends
+        run = a[lo:hi + 1]
+        last = np.flatnonzero(run[1:] != run[:-1])
+        if hi == a.size:
+            last = np.append(last, hi - lo - 1)
+        if last.size == 0:
+            continue
+        values = run[last]
+        # every b-value below the first of these values is at or below
+        # each of them, and none above the last one is
+        start = int(np.searchsorted(b, values[0], side="left"))
+        stop = int(np.searchsorted(b, values[-1], side="right"))
+        rank_b = np.searchsorted(b[start:stop], values, side="right")
+        rank_b += start
+        # the values' buffer takes F_a, then the gap
+        last += lo + 1
+        diff = np.divide(last, a.size, out=values)
+        del last
+        diff -= rank_b / b.size
+        gap = max(gap, float(np.abs(diff, out=diff).max()))
+    return gap
 
 
 def check_solve_args(pool_size: int, generations: int, seed: int) -> None:
@@ -217,6 +276,68 @@ def check_solve_args(pool_size: int, generations: int, seed: int) -> None:
         raise ParameterError(f"generations must be at least 1, got {generations}")
     if pool_size < MIN_POOL_SIZE:
         raise ParameterError(f"pool_size must be at least {MIN_POOL_SIZE}, got {pool_size}")
+
+
+class _Helper:
+    """solve_r's one helper thread. It runs the calls handed to submit
+    one after another; result() returns the next call's value, in the
+    order submitted, or raises the exception that call raised."""
+
+    def __init__(self):
+        self._calls = queue.SimpleQueue()
+        self._results = queue.SimpleQueue()
+        self._closing = False
+        self._thread = threading.Thread(target=self._serve, name="prtail-solve-helper")
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while (call := self._calls.get()) is not None:
+            if not self._closing:
+                fn, args = call
+                try:
+                    self._results.put((True, fn(*args)))
+                except BaseException as exc:
+                    self._results.put((False, exc))
+                # the arguments' pools go now, not when the next call comes
+                del fn, args
+            del call
+
+    def submit(self, fn, *args) -> None:
+        self._calls.put((fn, args))
+
+    def result(self):
+        done, value = self._results.get()
+        if not done:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Skip the calls not yet started, let a running one finish,
+        and join the thread."""
+        self._closing = True
+        self._calls.put(None)
+        self._thread.join()
+
+
+def _diagnose(generation: int, pools: list, older: list) -> list:
+    """One diagnostics row per pool of a generation. older holds the
+    previous generation's pools, which this sorts in place; each pool
+    is sorted in one buffer that serves the whole grid."""
+    rows = []
+    ordered = np.empty_like(pools[0])
+    for pool, old in zip(pools, older):
+        np.copyto(ordered, pool)
+        ordered.sort()
+        old.sort()
+        rows.append(
+            GenerationDiagnostics(
+                generation=generation,
+                mean=float(pool.mean()),
+                ks=ks_distance(ordered, old),
+                top=tuple(float(v) for v in ordered[:-_TOP_COUNT - 1:-1]),
+            )
+        )
+    return rows
 
 
 def solve_r(
@@ -231,37 +352,53 @@ def solve_r(
 
     The grid's entries must share d and alpha, which with the seed fix
     every draw (see the module docstring); model is their in-degree
-    model. Each result carries one diagnostics row per generation
-    (mean, KS distance to the previous generation, top-10 values so
-    heavy-tail resampling stays auditable). A final KS above
-    KS_THRESHOLD only clears the converged flag; the final pool is
-    still returned. The pools start from R = 1 identically: the exact
-    mean, and the exact solution when N = d is deterministic.
+    model, and only the helper thread calls its sample. Each result
+    carries one diagnostics row per generation (mean, KS distance to
+    the previous generation, top-10 values so heavy-tail resampling
+    stays auditable). A final KS above KS_THRESHOLD only clears the
+    converged flag; the final pool is still returned. The pools start
+    from R = 1 identically: the exact mean, and the exact solution
+    when N = d is deterministic.
     """
     if not grid:
         raise ParameterError("the c grid must hold at least one ModelParams")
     if any((p.d, p.alpha) != (grid[0].d, grid[0].alpha) for p in grid):
         raise ParameterError("every ModelParams of a grid must share d and alpha")
     check_solve_args(pool_size, generations, seed)
+    seeds = [derive(seed, _TAG_GEN, g) for g in range(1, generations + 1)]
     pools = [np.ones(pool_size)] * len(grid)
     diagnostics = [[] for _ in grid]
-    for g in range(1, generations + 1):
-        nxt = iterate_generation(pools, grid, model, derive(seed, _TAG_GEN, g))
-        for k, pool in enumerate(nxt):
-            diagnostics[k].append(
-                GenerationDiagnostics(
-                    generation=g,
-                    mean=float(pool.mean()),
-                    ks=ks_distance(pool, pools[k]),
-                    top=_top_values(pool),
-                )
-            )
-            # the old pool goes once its KS row is taken
-            pools[k] = pool
+    helper = _Helper()
+    try:
+        helper.submit(_running_ends, model, pool_size, seeds[0])
+        for g, gen_seed in enumerate(seeds, 1):
+            # results come in the order submitted: the rows of
+            # generation g-2, then the counts of generation g
+            if g > 2:
+                _append_rows(diagnostics, helper.result())
+            ends = helper.result()
+            if g > 1:
+                helper.submit(_diagnose, g - 1, pools, older)
+            if g < generations:
+                helper.submit(_running_ends, model, pool_size, seeds[g])
+            # generation g-2 is the helper's alone from here
+            older = pools
+            pools = iterate_generation(older, grid, model, gen_seed, ends=ends)
+        if generations > 1:
+            _append_rows(diagnostics, helper.result())
+        helper.submit(_diagnose, generations, pools, older)
+        _append_rows(diagnostics, helper.result())
+    finally:
+        helper.close()
     return [
         SolveResult(values=pool, diagnostics=tuple(rows), converged=rows[-1].ks <= KS_THRESHOLD)
         for pool, rows in zip(pools, diagnostics)
     ]
+
+
+def _append_rows(diagnostics: list, rows: list) -> None:
+    for column, row in zip(diagnostics, rows):
+        column.append(row)
 
 
 def save_diagnostics(diagnostics, path) -> None:

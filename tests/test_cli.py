@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from prtail.cli import main
 from prtail.fixedpoint import KS_THRESHOLD, final_generation_seed
 from prtail.graph import load_edge_list
-from prtail.rvmodel import pareto_scale_for_mean
+from prtail.errors import ParameterError
+from prtail.rvmodel import InDegreeModel, pareto_scale_for_mean
 
 STAR = "1 0\n2 0\n3 0\n0 1\n"
 
@@ -122,6 +124,20 @@ def test_model_command_artifacts_and_offset(tmp_path):
     diag = (out / "diagnostics.csv").read_text().splitlines()
     assert diag[0].startswith("generation,mean,ks,max")
     assert len(diag) == 4
+
+
+def test_model_exits_2_when_a_draw_fails_in_the_solve(tmp_path, monkeypatch, capsys):
+    # solve_r's helper thread draws the counts; its ParameterError
+    # reaches the command's exit code, and the thread is gone
+    def failing_sample(self, n, seed):
+        raise ParameterError("draw failed on purpose")
+
+    monkeypatch.setattr(InDegreeModel, "sample", failing_sample)
+    threads = threading.active_count()
+    rc = main(["model", "--c", "0.5", "--pool", "2000", "--generations", "3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "on purpose" in capsys.readouterr().err
+    assert threading.active_count() == threads
 
 
 def test_model_sample_file_headers(tmp_path):

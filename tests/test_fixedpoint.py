@@ -1,11 +1,14 @@
 """Population-dynamics iteration of the distributional fixed point."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from prtail import fixedpoint
+from prtail import accel, fixedpoint
 from prtail.errors import ParameterError, StateError
 from prtail.fixedpoint import (
     ModelParams,
@@ -141,9 +144,10 @@ def test_floor_holds_every_generation():
         assert pool.min() >= 1.0 - 0.9
 
 
-def _iterate_reference(pools, grid, model, seed):
+def _iterate_reference(pools, grid, model, seed, ends=None):
     # one pass per pool: every pick of the generation drawn and summed
-    # at once, each pool from its own draw of the counts and picks
+    # at once, each pool from its own draw of the counts and picks;
+    # the ends solve_r's helper drew ahead are left unused
     nxt = []
     for pool, params in zip(pools, grid):
         counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
@@ -256,6 +260,130 @@ def test_grid_must_share_d_and_alpha():
         solve_r([], model, pool_size=1000, generations=1, seed=0)
 
 
+def _solve_reference(grid, model, pool_size, generations, seed):
+    """solve_r on one thread, one step after another: the one-pass
+    generation, then each row from the reference KS, the mean and a
+    full sort."""
+    pools = [np.ones(pool_size)] * len(grid)
+    rows = [[] for _ in grid]
+    for g in range(1, generations + 1):
+        nxt = _iterate_reference(pools, grid, model, final_generation_seed(seed, g))
+        for column, pool, old in zip(rows, nxt, pools):
+            top = tuple(float(v) for v in np.sort(pool)[::-1][:10])
+            column.append(fixedpoint.GenerationDiagnostics(g, float(pool.mean()), _ks_reference(pool, old), top))
+        pools = nxt
+    return pools, rows
+
+
+class _SlowModel:
+    """The wrapped model, with a pause before every draw."""
+
+    def __init__(self, model, pause):
+        self.model = model
+        self.pause = pause
+
+    def sample(self, n, seed):
+        time.sleep(self.pause)
+        return self.model.sample(n, seed)
+
+
+def _slowed(fn, pause):
+    def slow(*args):
+        time.sleep(pause)
+        return fn(*args)
+
+    return slow
+
+
+@pytest.mark.parametrize("timing", ["plain", "slow draws", "slow diagnostics", "slow sums", "fast switching"])
+def test_solve_is_independent_of_thread_timing(monkeypatch, timing):
+    # whichever thread lags, and however often the two trade the GIL,
+    # the pools and every diagnostics row are the one-thread reference's
+    model = GRID[0].in_degree_model()
+    pools, rows = _solve_reference(GRID, model, 2000, 4, 17)
+    if timing == "slow draws":
+        model = _SlowModel(model, 0.05)
+    elif timing == "slow diagnostics":
+        monkeypatch.setattr(fixedpoint, "_diagnose", _slowed(fixedpoint._diagnose, 0.05))
+    elif timing == "slow sums":
+        monkeypatch.setattr(accel, "segment_sums", _slowed(accel.segment_sums, 0.002))
+    interval = sys.getswitchinterval()
+    if timing == "fast switching":
+        sys.setswitchinterval(1e-6)
+    try:
+        results = solve_r(GRID, model, pool_size=2000, generations=4, seed=17)
+    finally:
+        sys.setswitchinterval(interval)
+    for result, pool, column in zip(results, pools, rows):
+        assert np.array_equal(result.values, pool)
+        assert result.diagnostics == tuple(column)
+
+
+class _FailingModel:
+    """The wrapped model, counting its draws and raising ParameterError
+    at draw number fail_at."""
+
+    def __init__(self, model, fail_at):
+        self.model = model
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def sample(self, n, seed):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ParameterError("draw failed on purpose")
+        return self.model.sample(n, seed)
+
+
+def _assert_fails_cleanly(expected, match, *args, **kwargs):
+    # the original exception, raised promptly, and no thread left over
+    threads = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(expected, match=match):
+        solve_r(*args, **kwargs)
+    assert time.monotonic() - start < 5.0
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 4])
+def test_solve_reraises_a_failed_draw(fail_at):
+    model = _FailingModel(GRID[0].in_degree_model(), fail_at)
+    _assert_fails_cleanly(ParameterError, "on purpose", GRID, model, pool_size=2000, generations=4, seed=17)
+    assert model.calls == fail_at
+
+
+def test_solve_reraises_the_ks_rejection_of_a_nan_pool(monkeypatch):
+    segment_sums = accel.segment_sums
+
+    def nan_sums(pools, idx, counts, outs):
+        segment_sums(pools, idx, counts, outs)
+        outs[0][:1] = np.nan
+
+    monkeypatch.setattr(accel, "segment_sums", nan_sums)
+    _assert_fails_cleanly(ParameterError, "NaN", GRID, GRID[0].in_degree_model(), pool_size=2000,
+                          generations=4, seed=17)
+
+
+def test_solve_reraises_a_failure_of_the_sums(monkeypatch):
+    # the main thread fails part-way through generation 2, while the
+    # helper takes the rows of generation 1 with generation 3's draw
+    # queued behind them: that draw is skipped
+    segment_sums = accel.segment_sums
+    calls = []
+
+    def failing_sums(*args):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("sums failed on purpose")
+        segment_sums(*args)
+
+    monkeypatch.setattr(accel, "segment_sums", failing_sums)
+    monkeypatch.setattr(fixedpoint, "_diagnose", _slowed(fixedpoint._diagnose, 0.3))
+    model = _FailingModel(GRID[0].in_degree_model(), fail_at=0)
+    _assert_fails_cleanly(RuntimeError, "on purpose", GRID, model, pool_size=20_000, generations=4, seed=17)
+    assert model.calls == 2
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -274,16 +402,40 @@ def test_generation_memory_is_bounded():
     peak_grid = _peak_bytes(iterate_generation, [np.ones(1000) for _ in grid], grid, model, 1)
     assert peak_one < 16 * 2**20
     assert peak_grid < 16 * 2**20
-    # the chunk temporaries are shared: each extra c adds its sums (and,
-    # in solve_r, its pool), 16 bytes per member, far below one chunk's
-    # 0.5 MiB gather, which a temporary held per pool would add
+    # the chunk temporaries are shared: each extra c adds its sums, 8
+    # bytes per member, far below one chunk's gather (_CHUNK * 8 bytes),
+    # which a temporary held per pool would add
     assert peak_grid < peak_one + 2 * 16 * 1000 + 2**16
 
 
 def test_ks_distance_memory_is_bounded():
+    # two sorted copies, 16 MB at 10^6 + 10^6, plus chunk temporaries
     rng = np.random.default_rng(8)
     a, b = rng.pareto(1.1, 10**6), rng.pareto(1.1, 10**6)
-    assert _peak_bytes(ks_distance, a, b) < 64 * 2**20
+    assert _peak_bytes(ks_distance, a, b) < 16 * 2**20
+    # samples already in order are used as they are
+    a.sort()
+    b.sort()
+    assert _peak_bytes(ks_distance, a, b) < 2**20
+
+
+def _solve_peak_bytes(grid, pool_size):
+    model = grid[0].in_degree_model()
+    solve_r(grid[:1], model, pool_size=1000, generations=1, seed=1)  # first-call set-up off the books
+    return _peak_bytes(solve_r, grid, model, pool_size, 3, 7)
+
+
+def test_solve_memory_is_within_the_serial_budget():
+    # tracemalloc peaks of solve_r (3 generations, seed 7) when each KS
+    # row was taken between the generations by a merge sort: 6,404,855 B
+    # for a grid of one at pool 10^5 (2C + 6 = 8 pool arrays) and
+    # 28,803,441 B for a grid of three at pool 3*10^5 (12 arrays). The
+    # overlapped solve holds 3C + 2 pool arrays plus the chunk
+    # temporaries of both threads. A grid of three at pool 10^5 read
+    # 9,606,322 B then and is not pinned: there those temporaries, about
+    # 1 MiB, outweigh the one pool array the overlap saves.
+    assert _solve_peak_bytes(GRID[:1], 10**5) <= 6_404_855
+    assert _solve_peak_bytes(GRID, 3 * 10**5) <= 28_803_441
 
 
 def test_ks_distance_hand_values():
@@ -349,6 +501,47 @@ def test_ks_distance_bit_identical_with_infinities():
     for a, b in cases:
         a, b = np.array(a), np.array(b)
         assert ks_distance(a, b) == _ks_reference(a, b)
+
+
+def _ks_cases():
+    """Sample pairs for the KS core: heavy ties, signed zeros,
+    infinities, unequal sizes, single values, and runs of equal values
+    of many lengths, which cross the seams of small chunks."""
+    inf = np.inf
+    rng = np.random.default_rng(13)
+    cases = [
+        ([-0.0, 0.0, 1.0], [0.0, -0.0]),
+        ([-1.0, -0.0, 0.0, -0.0, 0.0, 2.0], [0.0, 0.0, -0.0, 3.0]),
+        ([-inf, 0.0, inf], [inf, inf]),
+        ([inf], [inf]),
+        ([-inf, -inf, 1.0], [-inf, 2.0, inf, inf]),
+        ([1.0, 2.0], [-inf]),
+        ([1.0], [1.0]),
+        ([2.0], [1.0]),
+        ([1.0], [0.0, 1.0, 2.0]),
+    ]
+    for levels in (1, 2, 3, 7):
+        for _ in range(10):
+            cases.append((rng.integers(0, levels, rng.integers(1, 60)).astype(float),
+                          rng.integers(0, levels, rng.integers(1, 60)).astype(float)))
+    for na, nb in ((3, 1000), (999, 1000), (7, 13)):
+        cases.append((rng.pareto(1.1, na), np.round(rng.pareto(1.1, nb), 1)))
+    for _ in range(20):
+        cases.append((np.repeat(rng.integers(0, 40, 25).astype(float), rng.integers(1, 20, 25)),
+                      np.repeat(rng.integers(0, 40, 30).astype(float), rng.integers(1, 20, 30))))
+    return [(np.array(a, dtype=float), np.array(b, dtype=float)) for a, b in cases]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_ks_core_bit_identical_across_chunk_seams(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(fixedpoint, "_KS_CHUNK", chunk)
+    for a, b in _ks_cases():
+        ref = _ks_reference(a, b)
+        # as given, and in order, which the core uses without a copy
+        for x, y in ((a, b), (np.sort(a), np.sort(b)), (np.sort(a), b)):
+            assert ks_distance(x, y) == ref
+            assert ks_distance(y, x) == ref
 
 
 def test_ks_distance_bit_identical_on_generation_pools():
