@@ -103,21 +103,25 @@ def _observed_offset(r_values, n_table):
         return None
 
 
+def _predicted_log10_y(grid: list) -> list:
+    """log10 y(c) for every c of the grid; factor raises a ParameterError
+    where y is not a positive finite double, so callers run this before
+    they create the output directory."""
+    return [math.log10(factor(p.c, p.d, p.alpha)) for p in grid]
+
+
 def _run_model(grid: list, pool: int, generations: int, seed: int):
     """Solve for R at every c of the grid from one set of draws, and
     draw the grid's reference N(T) sample once; returns (N sample, its
-    CCDF table, and per c a tuple of solve result, observed offset or
-    None, log10 y(c))."""
+    CCDF table, and per c a tuple of solve result and observed offset
+    or None)."""
     model = grid[0].in_degree_model()
     results = solve_r(grid, model, pool_size=pool, generations=generations, seed=seed)
     # reference N(T) draws reuse the final generation's degree stream so
     # the offset comparison cancels shared extreme-draw noise
     n_values = model.sample(pool, final_generation_seed(seed, generations))
     n_table = ccdf(n_values)
-    runs = [
-        (result, _observed_offset(result.values, n_table), math.log10(factor(p.c, p.d, p.alpha)))
-        for p, result in zip(grid, results)
-    ]
+    runs = [(result, _observed_offset(result.values, n_table)) for result in results]
     return n_values, n_table, runs
 
 
@@ -158,9 +162,10 @@ def cmd_model(args) -> int:
     params = ModelParams(c=args.c, d=args.d, alpha=args.alpha)
     check_solve_args(args.pool, args.generations, args.seed)
     check_top_fraction(args.xmin_fraction)
+    [log10_y] = _predicted_log10_y([params])
     out = args.out
     os.makedirs(out, exist_ok=True)
-    n_values, n_table, [(result, observed, log10_y)] = _run_model(
+    n_values, n_table, [(result, observed)] = _run_model(
         [params], args.pool, args.generations, args.seed
     )
     outputs = ["r_samples.txt", "n_samples.txt", "diagnostics.csv", "offset.json"]
@@ -261,12 +266,13 @@ def cmd_compare(args) -> int:
     # every grid value is checked before the solve starts
     grid_params = [ModelParams(c=c, d=args.d, alpha=args.alpha) for c in c_grid]
     check_solve_args(args.pool, args.generations, args.seed)
+    predictions = _predicted_log10_y(grid_params)
     out = args.out
     os.makedirs(out, exist_ok=True)
     _, _, runs = _run_model(grid_params, args.pool, args.generations, args.seed)
     with open(os.path.join(out, "compare.csv"), "w") as fh:
         fh.write("c,predicted_log10_y,observed_offset,difference\n")
-        for params, (_, observed, predicted) in zip(grid_params, runs):
+        for params, predicted, (_, observed) in zip(grid_params, predictions, runs):
             if observed is None:
                 observed = float("nan")
             fh.write(f"{params.c!r},{predicted!r},{observed!r},{observed - predicted!r}\n")

@@ -19,11 +19,14 @@ import numpy as np
 from .errors import ParameterError
 from .rng import stream
 
-# stream tags under a caller's master seed; sample_t and
-# InDegreeModel.sample share _TAG_T so that, given the same seed, the
-# in-degree draws are Poisson counts over the very same T draws
+# stream tags under a caller's master seed: InDegreeModel.sample draws
+# T on _TAG_T and the Poisson counts over it on _TAG_MIX, so a caller
+# can replay the T draws under a seed's counts from stream(seed, _TAG_T)
 _TAG_T = 1
 _TAG_MIX = 2
+# the largest mean numpy's Generator.poisson accepts; above it the draw
+# raises ValueError("lam value too large")
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 def pareto_scale_for_mean(alpha: float, d: float) -> float:
@@ -72,9 +75,3 @@ class InDegreeModel:
         t = self.tail.sample(n, stream(seed, _TAG_T))
         return stream(seed, _TAG_MIX).poisson(t)
 
-
-def sample_t(spec: TailSpec, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws of T, deterministic given seed."""
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
-    return spec.sample(n, stream(seed, _TAG_T))

@@ -17,10 +17,13 @@ closed form alpha*z^alpha*Gamma(-alpha, z) with z = x_scale*s
 (pareto_lst), which keeps its s^alpha singular term, the term the
 Tauberian argument ties to the tail of T, down to any s > 0.
 
-No function here integrates numerically. The module still imports
-scipy.integrate's quad, because perfbench's tracer rebinds
-`theory.quad` to count its calls and fails where the name is missing;
-the import goes with the next change to the benchmark.
+No function here integrates numerically, and nothing imports
+scipy.integrate. The module-level name `quad` is None: it exists only
+because perfbench's tracer rebinds `theory.quad` to count calls and
+fails where the name is missing, and it goes with the next change to
+the benchmark. scipy.special, which pareto_lst needs for Gamma(-alpha,
+z), loads on the first pareto_lst call, so importing this module (and
+the CLI, which uses factor alone) loads no special functions.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  unused; perfbench's tracer rebinds theory.quad
-from scipy.special import exp1, gamma, gammaincc
 
 from .errors import NumericError, ParameterError
 from .fixedpoint import ModelParams
@@ -45,6 +46,8 @@ N_POINTS = 2048
 SWEEP_TOL = 1e-12
 # second_moment_from_lst's fit window in s
 MOMENT_WINDOW = (1e-4, 1e-3)
+# nothing integrates; perfbench's tracer rebinds theory.quad to count calls
+quad = None
 
 
 def factor(c: float, d: float, alpha: float) -> float:
@@ -52,21 +55,21 @@ def factor(c: float, d: float, alpha: float) -> float:
 
     The parameters must be finite and admissible, as for ModelParams.
     The denominator is positive throughout the admissible range
-    (c < 1 < d gives d^(a-1) > 1 > c^a), so y > 0 always.
+    (c < 1 < d gives d^(a-1) > 1 > c^a), so y > 0 in exact arithmetic;
+    where c^a underflows or d^a overflows the double, a ParameterError
+    says so instead of returning 0 or raising OverflowError.
     """
     ModelParams(c=c, d=d, alpha=alpha)  # raises ParameterError outside the domain
-    return c**alpha / (d**alpha - c**alpha * d)
-
-
-def exponential_lst(mean: float):
-    """LST of an exponential variable with the given mean: 1/(1 + mean*s)."""
-    if not mean > 0:
-        raise ParameterError(f"mean must be positive, got {mean}")
-
-    def f(s):
-        return 1.0 / (1.0 + mean * np.asarray(s, dtype=float))
-
-    return f
+    try:
+        y = c**alpha / (d**alpha - c**alpha * d)
+    except OverflowError:
+        y = math.inf
+    if not 0 < y < math.inf:
+        raise ParameterError(
+            f"y(c) = c^alpha/(d^alpha - c^alpha*d) is not a positive finite double "
+            f"at c={c!r}, d={d!r}, alpha={alpha!r}"
+        )
+    return y
 
 
 def pareto_lst(spec: TailSpec):
@@ -90,6 +93,9 @@ def pareto_lst(spec: TailSpec):
     exactly. The error against mpmath is under 1e-12, the s^alpha
     term included, for any finite w >= 0; anything else raises.
     """
+    # imported here so that importing theory, as the CLI does, loads no special functions
+    from scipy.special import exp1, gamma, gammaincc
+
     alpha, m = spec.alpha, spec.x_scale
     k = math.ceil(alpha)
     a0 = k - alpha

@@ -28,9 +28,11 @@ from prtail.fixedpoint import ModelParams, final_generation_seed, solve_r
 from prtail.graph import load_edge_list, pagerank, parse_edge_list
 from prtail.growingnet import GrowthParams, generate
 from prtail.rng import stream
-from prtail.rvmodel import InDegreeModel, sample_t, tail_spec_for_mean
+from prtail.rvmodel import InDegreeModel, tail_spec_for_mean
 from prtail.tailstats import ccdf, fit_tail_fraction, fit_tail_mle, log_ccdf_offset
-from prtail.theory import exponential_lst, factor, mean_from_lst, solve_lst
+from prtail.theory import factor, mean_from_lst, solve_lst
+
+from models import exponential_lst, sample_t
 
 SEED = 7
 POOL = 10**6

@@ -13,7 +13,8 @@ from prtail.cli import main
 from prtail.fixedpoint import KS_THRESHOLD, final_generation_seed
 from prtail.graph import load_edge_list
 from prtail.errors import ParameterError
-from prtail.rvmodel import InDegreeModel, pareto_scale_for_mean
+from prtail.rvmodel import InDegreeModel, pareto_scale_for_mean, tail_spec_for_mean
+from prtail.theory import pareto_lst
 
 STAR = "1 0\n2 0\n3 0\n0 1\n"
 
@@ -348,15 +349,36 @@ def test_package_import_loads_no_numerics():
     assert proc.stdout.strip() == "[]"
 
 
+HEAVY_SCIPY = ("scipy.integrate", "scipy.special", "scipy.interpolate", "scipy.sparse", "scipy.stats")
+
+
 def test_cli_import_loads_no_interpolation():
-    # the closed-form Pareto transform needs no interpolant, so the CLI's
-    # start-up does not pay for scipy.interpolate
-    code = "import prtail.cli, sys; print('scipy.interpolate' in sys.modules)"
+    # the CLI computes y(c) with float arithmetic and the Pareto transform
+    # needs no interpolant, so start-up loads none of scipy's heavy parts
+    for module in ("prtail.cli", "prtail.theory"):
+        code = f"import {module}, sys; print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+
+
+def test_pareto_lst_loads_special_functions_on_first_call():
+    code = (
+        "import sys\n"
+        "from prtail.rvmodel import tail_spec_for_mean\n"
+        "from prtail.theory import pareto_lst\n"
+        "f = pareto_lst(tail_spec_for_mean(1.5, 8.2))\n"
+        "print('scipy.special' in sys.modules, repr(f(0.5)))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded, value = proc.stdout.split()
+    assert loaded == "True"
+    assert float(value) == pareto_lst(tail_spec_for_mean(1.5, 8.2))(0.5)
 
 
 @pytest.mark.parametrize(
@@ -378,4 +400,25 @@ def test_rejected_run_leaves_no_directory(tmp_path, argv):
     (tmp_path / "star.txt").write_text(STAR)
     argv = [str(tmp_path / a) if a in ("missing.txt", "star.txt") else a for a in argv]
     assert main(argv + ["--out", str(out)]) in (2, 3)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # y(c) underflows (c^alpha rounds to 0) or overflows (d^alpha)
+        ["model", "--c", "1e-300", "--pool", "1000", "--generations", "1"],
+        ["model", "--c", "1e-7", "--alpha", "50", "--pool", "1000", "--generations", "1"],
+        ["model", "--c", "0.5", "--d", "1e12", "--alpha", "40", "--pool", "1000", "--generations", "1"],
+        ["compare", "--c", "0.5,1e-300", "--pool", "1000", "--generations", "1"],
+        # T draws beyond numpy's Poisson limit
+        ["model", "--c", "0.5", "--d", "1e300", "--pool", "1000", "--generations", "1"],
+        ["model", "--c", "0.5", "--alpha", "1e308", "--pool", "1000", "--generations", "1"],
+        ["compare", "--c", "0.5", "--d", "1e300", "--pool", "1000", "--generations", "1"],
+    ],
+)
+def test_unrepresentable_run_exits_2_before_its_directory(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

@@ -18,39 +18,11 @@ from prtail.fixedpoint import (
     save_diagnostics,
     solve_r,
 )
-from prtail.rng import check_seed, stream
+from prtail.rng import stream
 from prtail.rvmodel import InDegreeModel
 from prtail.tailstats import fit_tail_fraction
 
-
-# in-degree models that only these tests use: any object with
-# sample(n, seed) -> counts serves solve_r as its model
-
-
-class PoissonInDegree:
-    """Degenerate-T in-degree: N ~ Poisson(rate) with fixed rate, on
-    the stream InDegreeModel mixes with (tag 2)."""
-
-    def __init__(self, rate):
-        if not rate >= 0:
-            raise ParameterError(f"rate must be nonnegative, got {rate}")
-        self.rate = rate
-
-    def sample(self, n, seed):
-        return stream(seed, 2).poisson(self.rate, n)
-
-
-class ConstantInDegree:
-    """Deterministic in-degree: N identically equal to count."""
-
-    def __init__(self, count):
-        if count < 0:
-            raise ParameterError(f"count must be nonnegative, got {count}")
-        self.count = count
-
-    def sample(self, n, seed):
-        check_seed(seed)
-        return np.full(n, self.count, dtype=np.int64)
+from models import ConstantInDegree, PoissonInDegree
 
 
 def test_poisson_in_degree_mean():
@@ -89,6 +61,29 @@ def test_model_params_validation():
         dict(c=0.5, d=8.2, alpha=float("nan")),
     ):
         with pytest.raises(ParameterError):
+            ModelParams(**bad)
+
+
+def test_model_params_reject_t_draws_beyond_the_poisson_limit():
+    # TailSpec.sample inverts u = 1 - rng.random() >= 2^-53, so its
+    # largest draw is x_scale * 2^(53/alpha); numpy's poisson rejects a
+    # mean above max_int64 - 10*sqrt(max_int64)
+    limit = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+    alpha = 1.1
+    growth = (alpha - 1.0) / alpha * 2.0 ** (53.0 / alpha)  # largest draw per unit d
+    below, above = limit / growth * (1 - 1e-9), limit / growth * (1 + 1e-9)
+    assert below * growth < limit < above * growth
+    rng = np.random.default_rng(0)
+    rng.poisson(below * growth)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(above * growth)
+    ModelParams(c=0.5, d=below, alpha=alpha)
+    for bad in (
+        dict(c=0.5, d=above, alpha=alpha),
+        dict(c=0.5, d=1e300, alpha=alpha),
+        dict(c=0.5, d=8.2, alpha=1e308),  # x_scale = d*(alpha-1)/alpha overflows
+    ):
+        with pytest.raises(ParameterError, match="Poisson limit"):
             ModelParams(**bad)
 
 

@@ -10,11 +10,12 @@ from prtail.rvmodel import (
     InDegreeModel,
     TailSpec,
     pareto_scale_for_mean,
-    sample_t,
     tail_spec_for_mean,
 )
 from prtail.samples import save_samples
 from prtail.tailstats import fit_tail_fraction, fit_tail_mle, x_min_for_top_fraction
+
+from models import sample_t
 
 
 def _ccdf(spec, x):

@@ -7,7 +7,7 @@ import pytest
 
 from prtail.errors import DegenerateFitError, ParameterError
 from prtail.rng import stream
-from prtail.rvmodel import TailSpec, sample_t, tail_spec_for_mean
+from prtail.rvmodel import TailSpec, tail_spec_for_mean
 from prtail.samples import CHUNK_ROWS
 from prtail.tailstats import (
     CcdfTable,
@@ -20,6 +20,8 @@ from prtail.tailstats import (
     save_tail_fit,
     x_min_for_top_fraction,
 )
+
+from models import sample_t
 
 
 def _save_ccdf_reference(table, path):

@@ -8,7 +8,6 @@ from prtail.errors import NumericError, ParameterError
 from prtail.fixedpoint import ModelParams
 from prtail.rvmodel import TailSpec, tail_spec_for_mean
 from prtail.theory import (
-    exponential_lst,
     factor,
     mean_from_lst,
     pareto_lst,
@@ -16,6 +15,8 @@ from prtail.theory import (
     second_moment_prediction,
     solve_lst,
 )
+
+from models import exponential_lst
 
 
 def test_factor_frozen_value():
@@ -64,6 +65,20 @@ def test_factor_domain_errors():
     ):
         with pytest.raises(ParameterError):
             factor(**bad)
+
+
+@pytest.mark.parametrize(
+    "c, d, alpha",
+    [
+        (1e-300, 8.2, 1.1),  # c^alpha underflows to 0
+        (1e-7, 8.2, 50.0),  # c^alpha underflows to 0
+        (0.5, 1e12, 40.0),  # d^alpha overflows
+    ],
+)
+def test_factor_rejects_y_outside_the_doubles(c, d, alpha):
+    ModelParams(c=c, d=d, alpha=alpha)  # admissible, and within the Poisson limit
+    with pytest.raises(ParameterError, match="positive finite"):
+        factor(c=c, d=d, alpha=alpha)
 
 
 def test_exponential_lst_closed_form():
