@@ -53,6 +53,7 @@ from .tailstats import (
     save_ccdf,
     save_ccdf_loglog,
     save_tail_fit,
+    thin_ccdf,
 )
 from .theory import factor
 
@@ -79,8 +80,11 @@ def _write_manifest(out_dir: str, command: str, parameters: dict, outputs: list)
 
 
 def _save_tail_artifacts(values, table, prefix: str, out: str, fraction: float, outputs: list) -> None:
-    save_ccdf(table, os.path.join(out, f"{prefix}_ccdf.csv"))
-    save_ccdf_loglog(table, os.path.join(out, f"{prefix}_ccdf_loglog.txt"))
+    # both CCDF files hold the thinned table: a few hundred rows per
+    # decade draw the plot, and the samples file already holds every value
+    thinned = thin_ccdf(table)
+    save_ccdf(thinned, os.path.join(out, f"{prefix}_ccdf.csv"))
+    save_ccdf_loglog(thinned, os.path.join(out, f"{prefix}_ccdf_loglog.txt"))
     outputs += [f"{prefix}_ccdf.csv", f"{prefix}_ccdf_loglog.txt"]
     try:
         fit = fit_tail_fraction(values, fraction)
@@ -91,13 +95,13 @@ def _save_tail_artifacts(values, table, prefix: str, out: str, fraction: float, 
     outputs.append(f"{prefix}_tail_fit.json")
 
 
-def _observed_offset(r_values, n_table):
-    """Vertical log-log offset between the tail of R and the CCDF table
-    of N, or None when the quantile band falls outside their common
-    support (degenerate runs, e.g. c close to 0 where R collapses to a
-    point mass)."""
+def _observed_offset(r_table, n_table):
+    """Vertical log-log offset between the CCDF tables of R and N, or
+    None when the quantile band falls outside their common support
+    (degenerate runs, e.g. c close to 0 where R collapses to a point
+    mass)."""
     try:
-        return log_ccdf_offset(ccdf(r_values), n_table)
+        return log_ccdf_offset(r_table, n_table)
     except ParameterError as exc:
         print(f"note: offset unavailable ({exc})", file=sys.stderr)
         return None
@@ -113,16 +117,13 @@ def _predicted_log10_y(grid: list) -> list:
 def _run_model(grid: list, pool: int, generations: int, seed: int):
     """Solve for R at every c of the grid from one set of draws, and
     draw the grid's reference N(T) sample once; returns (N sample, its
-    CCDF table, and per c a tuple of solve result and observed offset
-    or None)."""
+    CCDF table, one solve result per c)."""
     model = grid[0].in_degree_model()
     results = solve_r(grid, model, pool_size=pool, generations=generations, seed=seed)
     # reference N(T) draws reuse the final generation's degree stream so
     # the offset comparison cancels shared extreme-draw noise
     n_values = model.sample(pool, final_generation_seed(seed, generations))
-    n_table = ccdf(n_values)
-    runs = [(result, _observed_offset(result.values, n_table)) for result in results]
-    return n_values, n_table, runs
+    return n_values, ccdf(n_values), results
 
 
 def cmd_pagerank(args) -> int:
@@ -165,9 +166,9 @@ def cmd_model(args) -> int:
     [log10_y] = _predicted_log10_y([params])
     out = args.out
     os.makedirs(out, exist_ok=True)
-    n_values, n_table, [(result, observed)] = _run_model(
-        [params], args.pool, args.generations, args.seed
-    )
+    n_values, n_table, [result] = _run_model([params], args.pool, args.generations, args.seed)
+    r_table = ccdf(result.values)
+    observed = _observed_offset(r_table, n_table)
     outputs = ["r_samples.txt", "n_samples.txt", "diagnostics.csv", "offset.json"]
     save_samples(
         os.path.join(out, "r_samples.txt"),
@@ -196,7 +197,7 @@ def cmd_model(args) -> int:
         },
     )
     save_diagnostics(result.diagnostics, os.path.join(out, "diagnostics.csv"))
-    _save_tail_artifacts(result.values, ccdf(result.values), "r", out, args.xmin_fraction, outputs)
+    _save_tail_artifacts(result.values, r_table, "r", out, args.xmin_fraction, outputs)
     _save_tail_artifacts(n_values, n_table, "n", out, args.xmin_fraction, outputs)
     with open(os.path.join(out, "offset.json"), "w") as fh:
         json.dump(
@@ -269,10 +270,12 @@ def cmd_compare(args) -> int:
     predictions = _predicted_log10_y(grid_params)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    _, _, runs = _run_model(grid_params, args.pool, args.generations, args.seed)
+    # the N sample and each R table are dropped once they have served
+    n_table, results = _run_model(grid_params, args.pool, args.generations, args.seed)[1:]
+    offsets = [_observed_offset(ccdf(result.values), n_table) for result in results]
     with open(os.path.join(out, "compare.csv"), "w") as fh:
         fh.write("c,predicted_log10_y,observed_offset,difference\n")
-        for params, predicted, (_, observed) in zip(grid_params, predictions, runs):
+        for params, predicted, observed in zip(grid_params, predictions, offsets):
             if observed is None:
                 observed = float("nan")
             fh.write(f"{params.c!r},{predicted!r},{observed!r},{observed - predicted!r}\n")

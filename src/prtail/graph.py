@@ -203,11 +203,11 @@ def load_edge_list(path, keep_duplicates: bool = False) -> DirectedGraph:
 
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Edge lines under original ids; parse_edge_list round-trips it."""
-    # each node's id is formatted once, and rows look theirs up by
-    # dense id: no id column of edge length is gathered
+    # each node's id is formatted once, and each chunk looks its rows'
+    # ids up by dense id: no id column of edge length is gathered
     ids = list(map(str, g.original_ids.tolist()))
     head = f"# directed edge list: {g.n} nodes, {g.m} edges\n"
-    write_table(path, head, lambda u, v: f"{ids[u]} {ids[v]}\n", g.src, g.dst)
+    write_table(path, head, "%s %s\n", g.src, g.dst, convert=ids.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -277,5 +277,5 @@ def save_pagerank(pv: PageRankVector, g: DirectedGraph, path) -> None:
     """"node value" lines under original ids, with a run-metadata header."""
     head = f"# c: {pv.c!r}\n# iterations: {pv.iterations}\n# residual: {pv.residual!r}\n"
     head += f"# converged: {'true' if pv.converged else 'false'}\n"
-    write_table(path, head, lambda node, value: f"{node} {value!r}\n", g.original_ids, pv.values)
+    write_table(path, head, "%d %r\n", g.original_ids, pv.values)
 

@@ -1,5 +1,6 @@
 """Text export of array-sized tables: sample arrays, CCDFs, edge lists
-and PageRank vectors all go through write_table."""
+and PageRank vectors all go through write_table, one printf-style row
+format per file ("%r\n", "%r,%r\n", "%d %r\n", ...)."""
 
 from __future__ import annotations
 
@@ -7,22 +8,32 @@ from pathlib import Path
 
 import numpy as np
 
-# rows per formatted chunk: one join and one write per chunk keep a few
-# MB of text in memory, not the whole file
+# rows per formatted chunk: one format call and one write per chunk
+# keep a few MB of text in memory, not the whole file
 CHUNK_ROWS = 1 << 16
 
 
-def write_table(path, head: str, row, *columns) -> None:
-    """Write head, then row(*values) for each index of the equal-length
-    array columns, where values are that index's entries as Python
-    scalars (tolist): repr of a float is its shortest round-trip text,
-    and int64 ids stay exact. Rows are formatted, joined and written
-    CHUNK_ROWS at a time."""
+def write_table(path, head: str, fmt: str, *columns, convert=None) -> None:
+    """Write head, then fmt % (that index's values) for each index of
+    the equal-length array columns. Values are Python scalars (tolist),
+    passed through convert first where it is given: %r of a float is
+    its shortest round-trip repr, and %d of an int64 id stays exact.
+
+    Each CHUNK_ROWS-row chunk is formatted by one call,
+    (fmt * k) % values, with the k rows' values interleaved, and written
+    at once."""
+    width = len(columns)
     with open(path, "w") as fh:
         fh.write(head)
         for start in range(0, len(columns[0]), CHUNK_ROWS):
             chunk = [column[start : start + CHUNK_ROWS].tolist() for column in columns]
-            fh.write("".join(map(row, *chunk)))
+            if convert is not None:
+                chunk = [list(map(convert, column)) for column in chunk]
+            k = len(chunk[0])
+            values = [None] * (k * width)
+            for i, column in enumerate(chunk):
+                values[i::width] = column
+            fh.write((fmt * k) % tuple(values))
 
 
 def _format_value(v) -> str:
@@ -47,4 +58,4 @@ def save_samples(path: str | Path, values: np.ndarray, source: str, seed: int, m
     head = f"# source: {source}\n# seed: {seed}\n# count: {values.size}\n"
     head += f"# dtype: {'int' if integral else 'float'}\n"
     head += "".join(f"# {k}: {_format_value(meta[k])}\n" for k in sorted(meta))
-    write_table(path, head, lambda v: f"{v!r}\n", values)
+    write_table(path, head, "%d\n" if integral else "%r\n", values)

@@ -19,6 +19,8 @@ from .samples import write_table
 
 DEFAULT_QUANTILE_BAND = (0.99, 0.9999)
 DEFAULT_TOP_FRACTION = 0.1
+# thin_ccdf keeps at most about this many rows per decade of x and of p
+ROWS_PER_DECADE = 100
 
 
 def _values(samples) -> np.ndarray:
@@ -87,20 +89,48 @@ def ccdf(samples) -> CcdfTable:
     return CcdfTable(x=x, p=p, n_samples=values.size)
 
 
+def thin_ccdf(table: CcdfTable) -> CcdfTable:
+    """The rows of table that open a new cell of a log-log plot.
+
+    A row is kept where floor(ROWS_PER_DECADE * log10 x) or
+    floor(ROWS_PER_DECADE * log10 p) differs from the previous row's;
+    every x <= 0 lies in one cell below all others. The first and last
+    rows are always kept, and each kept row keeps its exact p. So a
+    table spanning D decades of x and P decades of p keeps at most
+    ceil(K D) + ceil(K P) + 2 rows, K = ROWS_PER_DECADE, with one more
+    where it has rows at x <= 0.
+    """
+    keep = np.ones(table.size, dtype=bool)
+    x_cells, p_cells = _log_cells(table.x), _log_cells(table.p)
+    keep[1:-1] = (x_cells[1:-1] != x_cells[:-2]) | (p_cells[1:-1] != p_cells[:-2])
+    return CcdfTable(x=table.x[keep], p=table.p[keep], n_samples=table.n_samples)
+
+
+def _log_cells(v: np.ndarray) -> np.ndarray:
+    """floor(ROWS_PER_DECADE * log10 v), and -inf where v <= 0."""
+    cells = np.full(v.shape, -np.inf)
+    positive = v > 0
+    cells[positive] = np.floor(ROWS_PER_DECADE * np.log10(v[positive]))
+    return cells
+
+
 def save_ccdf(table: CcdfTable, path) -> None:
-    """Two-column CSV, one row per distinct value."""
-    write_table(path, "x,p\n", lambda x, p: f"{x!r},{p!r}\n", table.x, table.p)
+    """Two-column CSV "x,p", one row per row of the table; the CLI
+    passes thin_ccdf of the full table."""
+    write_table(path, "x,p\n", "%r,%r\n", table.x, table.p)
 
 
 def save_ccdf_loglog(table: CcdfTable, path) -> None:
-    """Whitespace-separated log10 columns; rows with x <= 0 are dropped."""
+    """Whitespace-separated math.log10 of the table's x and p, one row
+    per row of the table with x > 0; rows with x <= 0 are dropped."""
     keep = table.x > 0
     write_table(
         path,
         "# log10_x log10_p\n",
-        lambda x, p: f"{math.log10(x)!r} {math.log10(p)!r}\n",
+        "%r %r\n",
         table.x[keep],
         table.p[keep],
+        convert=math.log10,
     )
 
 

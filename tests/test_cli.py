@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, manifests, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from prtail.fixedpoint import KS_THRESHOLD, final_generation_seed
 from prtail.graph import load_edge_list
 from prtail.errors import ParameterError
 from prtail.rvmodel import InDegreeModel, pareto_scale_for_mean, tail_spec_for_mean
+from prtail.tailstats import ROWS_PER_DECADE
 from prtail.theory import pareto_lst
 
 STAR = "1 0\n2 0\n3 0\n0 1\n"
@@ -125,6 +127,45 @@ def test_model_command_artifacts_and_offset(tmp_path):
     diag = (out / "diagnostics.csv").read_text().splitlines()
     assert diag[0].startswith("generation,mean,ks,max")
     assert len(diag) == 4
+
+
+def _check_thinned_ccdf(values, out, prefix):
+    """The CCDF files of values hold a thinned table: exact p at every
+    kept row, the first and last values kept, at most about
+    ROWS_PER_DECADE rows per decade of x and of p."""
+    lines = (out / f"{prefix}_ccdf.csv").read_text().splitlines()
+    assert lines[0] == "x,p"
+    table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    x, p = table[:, 0], table[:, 1]
+    assert np.all(np.diff(x) > 0)
+    n = values.size
+    assert np.array_equal(p, (n - np.searchsorted(np.sort(values), x, side="left")) / n)
+    assert (x[0], p[0]) == (values.min(), 1.0)
+    assert (x[-1], p[-1]) == (values.max(), np.count_nonzero(values == values.max()) / n)
+    loglog = np.loadtxt(out / f"{prefix}_ccdf_loglog.txt", comments="#", ndmin=2)
+    positive = x > 0
+    assert loglog.shape == (np.count_nonzero(positive), 2)
+    assert np.abs(loglog - np.log10(table[positive])).max() <= 1e-12
+    decades_x = math.log10(x[-1]) - math.log10(x[positive][0])
+    decades_p = -math.log10(p[-1])
+    bound = math.ceil(ROWS_PER_DECADE * decades_x) + math.ceil(ROWS_PER_DECADE * decades_p) + 2
+    assert x.size <= bound + (not positive[0])
+    return x.size
+
+
+def test_ccdf_files_hold_the_thinned_table(tmp_path):
+    out = tmp_path / "model"
+    argv = ["model", "--c", "0.5", "--pool", "2000", "--generations", "3", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    r_values = np.loadtxt(out / "r_samples.txt", comments="#")
+    assert _check_thinned_ccdf(r_values, out, "r") < np.unique(r_values).size
+    _check_thinned_ccdf(np.loadtxt(out / "n_samples.txt", comments="#"), out, "n")
+    gn, pr = tmp_path / "gn", tmp_path / "pr"
+    assert main(["generate-gn", "--beta", "0.2", "--d", "4", "--n", "3000", "--seed", "3",
+                 "--out", str(gn)]) == 0
+    assert main(["pagerank", str(gn / "edges.txt"), "--c", "0.85", "--out", str(pr)]) == 0
+    pr_values = np.loadtxt(pr / "pagerank.txt", comments="#")[:, 1]
+    assert _check_thinned_ccdf(pr_values, pr, "pagerank") < np.unique(pr_values).size
 
 
 def test_model_exits_2_when_a_draw_fails_in_the_solve(tmp_path, monkeypatch, capsys):

@@ -350,27 +350,31 @@ def test_save_pagerank_format(tmp_path):
 
 
 def _sparse_graph(seed, n, m):
+    """m random edges over n nodes whose original ids are sparse, up to 2^62."""
     rng = np.random.default_rng(seed)
     ids = np.sort(rng.choice(2**62, size=n, replace=False))
+    ids[-1] = 2**62
+    if m == 0:
+        return DirectedGraph(n=n, src=[], dst=[], original_ids=ids)
     return from_edges(rng.integers(0, n, m), rng.integers(0, n, m), n=n, original_ids=ids)
 
 
 def test_write_edge_list_bytes_match_reference(tmp_path):
-    chunk = CHUNK_ROWS
-    g = _sparse_graph(4, 1000, 2 * chunk + 123)
-    write_edge_list(g, tmp_path / "new.txt")
-    _write_edge_list_reference(g, tmp_path / "ref.txt")
-    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    for m in (0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3):
+        g = _sparse_graph(4, 1000, m)
+        write_edge_list(g, tmp_path / "new.txt")
+        _write_edge_list_reference(g, tmp_path / "ref.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), m
 
 
 def test_save_pagerank_bytes_match_reference(tmp_path):
-    chunk = CHUNK_ROWS
-    n = chunk + 777
-    g = _sparse_graph(5, n, 2 * n)
-    rng = np.random.default_rng(6)
-    values = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
-    values[:3] = [0.15, 1.0, 5e-324]
-    pv = PageRankVector(values=values, c=0.85, iterations=7, residual=1e-11, converged=False)
-    save_pagerank(pv, g, tmp_path / "new.txt")
-    _save_pagerank_reference(pv, g, tmp_path / "ref.txt")
-    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    # a graph has at least one node, so the table has at least one row
+    for n in (1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3):
+        g = _sparse_graph(5, n, 2 * n)
+        rng = np.random.default_rng(6)
+        values = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
+        values[:3] = [0.15, 1.0, 5e-324][:n]
+        pv = PageRankVector(values=values, c=0.85, iterations=7, residual=1e-11, converged=False)
+        save_pagerank(pv, g, tmp_path / "new.txt")
+        _save_pagerank_reference(pv, g, tmp_path / "ref.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), n

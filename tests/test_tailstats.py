@@ -10,6 +10,7 @@ from prtail.rng import stream
 from prtail.rvmodel import TailSpec, tail_spec_for_mean
 from prtail.samples import CHUNK_ROWS
 from prtail.tailstats import (
+    ROWS_PER_DECADE,
     CcdfTable,
     ccdf,
     fit_tail_fraction,
@@ -18,6 +19,7 @@ from prtail.tailstats import (
     save_ccdf,
     save_ccdf_loglog,
     save_tail_fit,
+    thin_ccdf,
     x_min_for_top_fraction,
 )
 
@@ -39,6 +41,27 @@ def _save_ccdf_loglog_reference(table, path):
         for x, p in zip(table.x, table.p):
             if x > 0:
                 fh.write(f"{math.log10(x)!r} {math.log10(p)!r}\n")
+
+
+def _thin_reference(table):
+    """thin_ccdf as a row loop over math.log10 cells."""
+
+    def cells(x, p):
+        return (math.floor(ROWS_PER_DECADE * math.log10(x)) if x > 0 else -math.inf,
+                math.floor(ROWS_PER_DECADE * math.log10(p)))
+
+    rows = _rows(table)
+    kept = [rows[0]]
+    for previous, row in zip(rows, rows[1:-1]):
+        if cells(*row) != cells(*previous):
+            kept.append(row)
+    if len(rows) > 1:
+        kept.append(rows[-1])
+    return kept
+
+
+def _rows(table):
+    return list(zip(table.x.tolist(), table.p.tolist()))
 
 
 def _table(rows, nonpositive=()):
@@ -231,6 +254,7 @@ def test_save_tail_fit_json(tmp_path):
     assert payload["alpha_ccdf"] == fit.alpha_ccdf
 
 
+# a CcdfTable has at least one row; its log-log file may have none
 @pytest.mark.parametrize("rows", [1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3])
 def test_save_ccdf_bytes_match_reference(tmp_path, rows):
     table = _table(rows)
@@ -239,10 +263,62 @@ def test_save_ccdf_bytes_match_reference(tmp_path, rows):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("rows", [1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3])
+@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3])
 def test_save_ccdf_loglog_bytes_match_reference(tmp_path, rows):
     # the x <= 0 rows are dropped, so `rows` lines are written
     table = _table(rows, nonpositive=[-2.5, -1e-300, 0.0])
     save_ccdf_loglog(table, tmp_path / "new.txt")
     _save_ccdf_loglog_reference(table, tmp_path / "ref.txt")
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+def test_thin_ccdf_keeps_one_and_two_row_tables():
+    one = CcdfTable(x=np.array([5.0]), p=np.array([1.0]), n_samples=1)
+    assert _rows(thin_ccdf(one)) == [(5.0, 1.0)]
+    # both rows share one cell, and both are kept: first and last
+    two = CcdfTable(x=np.array([1.0, 1.001]), p=np.array([1.0, 1.0]), n_samples=2)
+    assert _rows(thin_ccdf(two)) == [(1.0, 1.0), (1.001, 1.0)]
+
+
+def test_thin_ccdf_keeps_exact_p_of_tied_samples():
+    rng = np.random.default_rng(11)
+    values = np.floor(10.0 ** rng.uniform(0, 4, 50_000))  # integers, heavily tied at the bottom
+    table = ccdf(values)
+    thinned = thin_ccdf(table)
+    assert thinned.size < table.size
+    assert thinned.n_samples == values.size
+    at_least = values.size - np.searchsorted(np.sort(values), thinned.x, side="left")
+    assert np.array_equal(thinned.p, at_least / values.size)
+    assert _rows(thinned) == _thin_reference(table)
+
+
+def test_thin_ccdf_keeps_zero_row_that_loglog_drops(tmp_path):
+    # x <= 0 rows share one cell below every other: the first positive
+    # row opens a new one; the two nonpositive rows here differ in p
+    x = np.array([-1.0, 0.0, 2e-3, 2.0001e-3, 5.0])
+    table = CcdfTable(x=x, p=np.array([1.0, 0.8, 0.6, 0.595, 0.2]), n_samples=5)
+    thinned = thin_ccdf(table)
+    assert _rows(thinned) == [(-1.0, 1.0), (0.0, 0.8), (2e-3, 0.6), (5.0, 0.2)]
+    save_ccdf(thinned, tmp_path / "t.csv")
+    save_ccdf_loglog(thinned, tmp_path / "t.txt")
+    assert (tmp_path / "t.csv").read_text().splitlines()[1:3] == ["-1.0,1.0", "0.0,0.8"]
+    loglog = (tmp_path / "t.txt").read_text().splitlines()[1:]
+    assert loglog == [f"{math.log10(a)!r} {math.log10(b)!r}" for a, b in [(2e-3, 0.6), (5.0, 0.2)]]
+
+
+def test_thin_ccdf_keeps_every_row_of_a_sparse_table():
+    # each row in its own x cell: fewer rows than the grid, all kept
+    x = 10.0 ** np.array([-2.3, -0.7, 0.5, 1.25, 3.9])
+    table = CcdfTable(x=x, p=np.array([1.0, 0.8, 0.6, 0.4, 0.2]), n_samples=5)
+    assert _rows(thin_ccdf(table)) == _rows(table)
+
+
+def test_thin_ccdf_keeps_one_row_per_cell():
+    # about 3 in 10 rows open a new cell of this table
+    table = _table(200_000)
+    thinned = thin_ccdf(table)
+    assert _rows(thinned) == _thin_reference(table)
+    decades_x = math.log10(table.x[-1]) - math.log10(table.x[0])
+    decades_p = -math.log10(table.p[-1])
+    bound = math.ceil(ROWS_PER_DECADE * decades_x) + math.ceil(ROWS_PER_DECADE * decades_p) + 2
+    assert thinned.size <= bound
