@@ -33,19 +33,20 @@ once, and every pool adds its own gather of them into its own sums by
 the in-order rule above. Each c's pool is the same double, bit for
 bit, as a solve of that c alone.
 
-solve_r runs on two threads, with nothing to set. The main thread
-does the sums of each generation: the pick draws, the seam search and
-segment_sums, through iterate_generation. One helper thread, started
-and joined by each solve_r call, does what the sums do not wait for:
-while generation g is summed, it takes the diagnostics rows of
-generation g-1, then draws the counts of generation g+1 (model.sample
-and their running ends). numpy lets go of the GIL in the gathers,
-np.add.at, the sorts, the searches and the draws, so on two CPUs the
-threads compute at once; on one they take turns. The main thread
-hands the helper its calls and takes their results in order. A call
-that raises hands its exception to the main thread, which raises it;
-on any exception the helper skips the calls it has not started and is
-joined before solve_r returns.
+solve_r overlaps its work on one helper thread, with nothing to set:
+a one-worker ThreadPoolExecutor that each solve_r call makes and shuts
+down. The main thread does the sums of each generation: the pick
+draws, the seam search and segment_sums, through iterate_generation.
+The helper does what the sums do not wait for: while generation g is
+summed, it takes the diagnostics rows of generation g-1, then draws
+the counts of generation g+1 (model.sample and their running ends).
+numpy lets go of the GIL in the gathers, np.add.at, the sorts, the
+searches and the draws, so on two CPUs the threads compute at once; on
+one they take turns. Before summing generation g the main thread
+waits on the futures of the rows of g-2 and the counts of g, so a
+call that raised raises again there. On any exception the helper's
+queued calls are cancelled, a running one finishes, and the thread
+is joined before solve_r returns or raises.
 
 Threading changes no byte. Each random stream has one consumer in its
 original order: the degree streams (tags 1 and 2) the helper, the pick
@@ -69,8 +70,6 @@ both threads, a few MiB, come on top.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,19 +167,16 @@ def final_generation_seed(seed: int, generations: int) -> int:
     return derive(seed, _TAG_GEN, generations)
 
 
-def iterate_generation(pools: list, grid, model, seed: int, ends=None) -> list:
+def iterate_generation(pools: list, grid, ends: np.ndarray, seed: int) -> list:
     """One rewrite of each pool through the right-hand side of the
     equation with its own c of the grid; every next pool has as many
-    members as the pools. One draw of the counts and one pick stream
-    serve all pools, and the picks are drawn and summed _CHUNK at a
-    time (see the module docstring). ends, when given, are the running
-    ends of model.sample(size, seed), drawn ahead as solve_r's helper
-    does; the model is then not called."""
+    members as the pools. ends are the running ends of one draw of the
+    counts (see _running_ends); they and one pick stream serve all
+    pools, and the picks are drawn and summed _CHUNK at a time (see the
+    module docstring)."""
     size = pools[0].size
     if size == 0:
         raise StateError("cannot iterate from an empty pool")
-    if ends is None:
-        ends = _running_ends(model, size, seed)
     total = int(ends[-1])
     rng = stream(seed, _TAG_PICK)
     sums = [np.zeros(size) for _ in pools]
@@ -286,47 +282,6 @@ def check_solve_args(pool_size: int, generations: int, seed: int) -> None:
         raise ParameterError(f"pool_size must be at least {MIN_POOL_SIZE}, got {pool_size}")
 
 
-class _Helper:
-    """solve_r's one helper thread. It runs the calls handed to submit
-    one after another; result() returns the next call's value, in the
-    order submitted, or raises the exception that call raised."""
-
-    def __init__(self):
-        self._calls = queue.SimpleQueue()
-        self._results = queue.SimpleQueue()
-        self._closing = False
-        self._thread = threading.Thread(target=self._serve, name="prtail-solve-helper")
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while (call := self._calls.get()) is not None:
-            if not self._closing:
-                fn, args = call
-                try:
-                    self._results.put((True, fn(*args)))
-                except BaseException as exc:
-                    self._results.put((False, exc))
-                # the arguments' pools go now, not when the next call comes
-                del fn, args
-            del call
-
-    def submit(self, fn, *args) -> None:
-        self._calls.put((fn, args))
-
-    def result(self):
-        done, value = self._results.get()
-        if not done:
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Skip the calls not yet started, let a running one finish,
-        and join the thread."""
-        self._closing = True
-        self._calls.put(None)
-        self._thread.join()
-
-
 def _diagnose(generation: int, pools: list, older: list) -> list:
     """One diagnostics row per pool of a generation. older holds the
     previous generation's pools, which this sorts in place; each pool
@@ -367,7 +322,15 @@ def solve_r(
     converged flag; the final pool is still returned. The pools start
     from R = 1 identically: the exact mean, and the exact solution
     when N = d is deterministic.
+
+    The helper thread is the one worker of an executor that the call
+    makes; whether it returns or raises, no thread of it is left
+    running. An exception of the helper's draws or rows is raised here
+    as it was raised there.
     """
+    # imported here: concurrent.futures brings logging into the CLI's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     if not grid:
         raise ParameterError("the c grid must hold at least one ModelParams")
     if any((p.d, p.alpha) != (grid[0].d, grid[0].alpha) for p in grid):
@@ -375,38 +338,29 @@ def solve_r(
     check_solve_args(pool_size, generations, seed)
     seeds = [derive(seed, _TAG_GEN, g) for g in range(1, generations + 1)]
     pools = [np.ones(pool_size)] * len(grid)
-    diagnostics = [[] for _ in grid]
-    helper = _Helper()
+    rows = []
+    helper = ThreadPoolExecutor(1, thread_name_prefix="prtail-solve-helper")
     try:
-        helper.submit(_running_ends, model, pool_size, seeds[0])
+        counts = helper.submit(_running_ends, model, pool_size, seeds[0])
         for g, gen_seed in enumerate(seeds, 1):
-            # results come in the order submitted: the rows of
-            # generation g-2, then the counts of generation g
             if g > 2:
-                _append_rows(diagnostics, helper.result())
-            ends = helper.result()
+                rows[-1].result()  # generation g-2
+            ends = counts.result()
             if g > 1:
-                helper.submit(_diagnose, g - 1, pools, older)
+                rows.append(helper.submit(_diagnose, g - 1, pools, older))
             if g < generations:
-                helper.submit(_running_ends, model, pool_size, seeds[g])
+                counts = helper.submit(_running_ends, model, pool_size, seeds[g])
             # generation g-2 is the helper's alone from here
             older = pools
-            pools = iterate_generation(older, grid, model, gen_seed, ends=ends)
-        if generations > 1:
-            _append_rows(diagnostics, helper.result())
-        helper.submit(_diagnose, generations, pools, older)
-        _append_rows(diagnostics, helper.result())
+            pools = iterate_generation(older, grid, ends, gen_seed)
+        rows.append(helper.submit(_diagnose, generations, pools, older))
+        columns = zip(*(future.result() for future in rows))
     finally:
-        helper.close()
+        helper.shutdown(cancel_futures=True)
     return [
-        SolveResult(values=pool, diagnostics=tuple(rows), converged=rows[-1].ks <= KS_THRESHOLD)
-        for pool, rows in zip(pools, diagnostics)
+        SolveResult(values=pool, diagnostics=column, converged=column[-1].ks <= KS_THRESHOLD)
+        for pool, column in zip(pools, columns)
     ]
-
-
-def _append_rows(diagnostics: list, rows: list) -> None:
-    for column, row in zip(diagnostics, rows):
-        column.append(row)
 
 
 def save_diagnostics(diagnostics, path) -> None:

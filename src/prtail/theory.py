@@ -151,7 +151,9 @@ def solve_lst(
     itself: the quotient is nearly constant as s -> 0, so the
     interpolation error stays O(s^2) and moment extraction through
     second order survives. Arguments below the grid use the expansion
-    1 - s, exact to O(s^2). Sweeps run from r = exp(-s) until the
+    1 - s (E R = 1). Its error is O(s^2) only where E R^2 is finite
+    (alpha > 2); for 1 < alpha < 2 it is O(s^alpha), the very term
+    y(c) is read from. Sweeps run from r = exp(-s) until the
     sup-norm change is at most SWEEP_TOL. c/d < 1 makes the map
     contractive, so failure to converge within max_sweeps raises a
     numeric error.

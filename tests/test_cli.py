@@ -395,9 +395,11 @@ HEAVY_SCIPY = ("scipy.integrate", "scipy.special", "scipy.interpolate", "scipy.s
 
 def test_cli_import_loads_no_interpolation():
     # the CLI computes y(c) with float arithmetic and the Pareto transform
-    # needs no interpolant, so start-up loads none of scipy's heavy parts
-    for module in ("prtail.cli", "prtail.theory"):
-        code = f"import {module}, sys; print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
+    # needs no interpolant, so start-up loads none of scipy's heavy parts;
+    # solve_r imports its executor, and with it logging, when it runs
+    for module, heavy in (("prtail.cli", HEAVY_SCIPY + ("concurrent.futures", "logging")),
+                          ("prtail.theory", HEAVY_SCIPY)):
+        code = f"import {module}, sys; print([m for m in {heavy!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )

@@ -92,7 +92,8 @@ def test_degenerate_in_degree_keeps_pool_at_one():
     # solution: each output is c*d*(1/d)*1 + (1-c) = 1, bit for bit
     # when c/d*d and the complement sum are exact (d a power of two)
     params = ModelParams(c=0.85, d=8.0, alpha=1.1)
-    [nxt] = iterate_generation([np.ones(500)], [params], ConstantInDegree(8), seed=1)
+    ends = fixedpoint._running_ends(ConstantInDegree(8), 500, 1)
+    [nxt] = iterate_generation([np.ones(500)], [params], ends, seed=1)
     assert nxt.shape == (500,)
     assert np.all(nxt == 1.0)
     # solve_r starts from that same R = 1 pool, so every generation stays there
@@ -104,7 +105,8 @@ def test_degenerate_in_degree_keeps_pool_at_one():
 def test_tiny_damping_collapses_to_one():
     params = ModelParams(c=1e-6, d=8.2, alpha=1.1)
     model = InDegreeModel(params.in_degree_model().tail)
-    [nxt] = iterate_generation([np.ones(10_000)], [params], model, seed=2)
+    ends = fixedpoint._running_ends(model, 10_000, 2)
+    [nxt] = iterate_generation([np.ones(10_000)], [params], ends, seed=2)
     assert nxt.min() >= 1.0 - 1e-6
     assert nxt.max() <= 1.0 + 1e-3  # (c/d) * max count dominates the excess
 
@@ -117,8 +119,9 @@ def test_zero_in_degree_gives_floor_exactly():
 
 def test_empty_pool_is_a_state_error():
     params = ModelParams(c=0.5, d=8.2, alpha=1.1)
+    ends = fixedpoint._running_ends(ConstantInDegree(1), 0, 0)
     with pytest.raises(StateError):
-        iterate_generation([np.ones(0)], [params], ConstantInDegree(1), seed=0)
+        iterate_generation([np.ones(0)], [params], ends, seed=0)
 
 
 def test_solve_r_preconditions():
@@ -135,17 +138,16 @@ def test_floor_holds_every_generation():
     model = params.in_degree_model()
     pool = np.ones(2000)
     for g in range(1, 6):
-        [pool] = iterate_generation([pool], [params], model, seed=g)
+        [pool] = iterate_generation([pool], [params], fixedpoint._running_ends(model, pool.size, g), seed=g)
         assert pool.min() >= 1.0 - 0.9
 
 
-def _iterate_reference(pools, grid, model, seed, ends=None):
+def _iterate_reference(pools, grid, ends, seed):
     # one pass per pool: every pick of the generation drawn and summed
-    # at once, each pool from its own draw of the counts and picks;
-    # the ends solve_r's helper drew ahead are left unused
+    # at once, each pool from its own pick stream
+    counts = np.diff(ends, prepend=0)
     nxt = []
     for pool, params in zip(pools, grid):
-        counts = np.asarray(model.sample(pool.size, seed), dtype=np.int64)
         idx = stream(seed, fixedpoint._TAG_PICK).integers(0, pool.size, size=int(counts.sum()))
         seg = np.repeat(np.arange(pool.size), counts)
         sums = np.bincount(seg, weights=pool[idx], minlength=pool.size)
@@ -186,8 +188,9 @@ def test_chunk_seams_are_exact(monkeypatch, chunk, case):
     pools = [rng.pareto(1.1, 50) * 1e3 + 1.0 / 3.0, rng.pareto(1.1, 50) * 1e2 + 1.0 / 7.0]
     model = _FixedCounts(SEAM_COUNTS[case])
     for seed in (1, 2):
-        got = iterate_generation(pools, grid, model, seed)
-        ref = _iterate_reference(pools, grid, model, seed)
+        ends = fixedpoint._running_ends(model, 50, seed)
+        got = iterate_generation(pools, grid, ends, seed)
+        ref = _iterate_reference(pools, grid, ends, seed)
         assert len(got) == 2
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
@@ -200,8 +203,9 @@ def test_default_chunk_exact_multiple():
     counts = np.zeros(1000, dtype=np.int64)
     counts[[3, 10, 500]] = [fixedpoint._CHUNK - 5, 10, fixedpoint._CHUNK - 5]
     model = _FixedCounts(counts)
-    [got] = iterate_generation([pool], [params], model, 3)
-    [ref] = _iterate_reference([pool], [params], model, 3)
+    ends = fixedpoint._running_ends(model, 1000, 3)
+    [got] = iterate_generation([pool], [params], ends, 3)
+    [ref] = _iterate_reference([pool], [params], ends, 3)
     assert np.array_equal(got, ref)
 
 
@@ -262,7 +266,8 @@ def _solve_reference(grid, model, pool_size, generations, seed):
     pools = [np.ones(pool_size)] * len(grid)
     rows = [[] for _ in grid]
     for g in range(1, generations + 1):
-        nxt = _iterate_reference(pools, grid, model, final_generation_seed(seed, g))
+        gen_seed = final_generation_seed(seed, g)
+        nxt = _iterate_reference(pools, grid, fixedpoint._running_ends(model, pool_size, gen_seed), gen_seed)
         for column, pool, old in zip(rows, nxt, pools):
             top = tuple(float(v) for v in np.sort(pool)[::-1][:10])
             column.append(fixedpoint.GenerationDiagnostics(g, float(pool.mean()), _ks_reference(pool, old), top))
@@ -305,10 +310,13 @@ def test_solve_is_independent_of_thread_timing(monkeypatch, timing):
     interval = sys.getswitchinterval()
     if timing == "fast switching":
         sys.setswitchinterval(1e-6)
+    threads = threading.active_count()
     try:
         results = solve_r(GRID, model, pool_size=2000, generations=4, seed=17)
     finally:
         sys.setswitchinterval(interval)
+    # the helper thread is joined before a successful solve returns too
+    assert threading.active_count() == threads
     for result, pool, column in zip(results, pools, rows):
         assert np.array_equal(result.values, pool)
         assert result.diagnostics == tuple(column)
@@ -391,10 +399,10 @@ def _peak_bytes(fn, *args):
 def test_generation_memory_is_bounded():
     # 10^7 picks; held at once they would take 24 bytes each
     grid = [ModelParams(c=c, d=8.2, alpha=1.1) for c in (0.1, 0.5, 0.9)]
-    model = ConstantInDegree(10**4)
-    iterate_generation([np.ones(1000)], grid[:1], model, 1)  # first-call set-up off the books
-    peak_one = _peak_bytes(iterate_generation, [np.ones(1000)], grid[:1], model, 1)
-    peak_grid = _peak_bytes(iterate_generation, [np.ones(1000) for _ in grid], grid, model, 1)
+    ends = fixedpoint._running_ends(ConstantInDegree(10**4), 1000, 1)
+    iterate_generation([np.ones(1000)], grid[:1], ends, 1)  # first-call set-up off the books
+    peak_one = _peak_bytes(iterate_generation, [np.ones(1000)], grid[:1], ends, 1)
+    peak_grid = _peak_bytes(iterate_generation, [np.ones(1000) for _ in grid], grid, ends, 1)
     assert peak_one < 16 * 2**20
     assert peak_grid < 16 * 2**20
     # the chunk temporaries are shared: each extra c adds its sums, 8
@@ -544,7 +552,8 @@ def test_ks_distance_bit_identical_on_generation_pools():
     model = params.in_degree_model()
     pool = np.ones(5000)
     for g in range(1, 6):
-        [nxt] = iterate_generation([pool], [params], model, seed=40 + g)
+        ends = fixedpoint._running_ends(model, 5000, 40 + g)
+        [nxt] = iterate_generation([pool], [params], ends, seed=40 + g)
         before = (nxt.copy(), pool.copy())
         assert ks_distance(nxt, pool) == _ks_reference(nxt, pool)
         # the inputs are left as they were
@@ -560,7 +569,9 @@ def test_solve_r_ks_column_matches_reference():
     for row in result.diagnostics:
         g = row.generation
         # generation g is seeded as the last generation of a g-generation run
-        [nxt] = iterate_generation([pool], [params], model, final_generation_seed(21, g))
+        gen_seed = final_generation_seed(21, g)
+        ends = fixedpoint._running_ends(model, 2000, gen_seed)
+        [nxt] = iterate_generation([pool], [params], ends, gen_seed)
         assert row.ks == _ks_reference(nxt, pool)
         pool = nxt
     assert np.array_equal(pool, result.values)
@@ -600,7 +611,9 @@ def test_generation_seeding_is_stage_consistent():
     model = params.in_degree_model()
     [full] = solve_r([params], model, pool_size=1000, generations=3, seed=9)
     [partial] = solve_r([params], model, pool_size=1000, generations=2, seed=9)
-    [redo] = iterate_generation([partial.values], [params], model, final_generation_seed(9, 3))
+    gen_seed = final_generation_seed(9, 3)
+    ends = fixedpoint._running_ends(model, 1000, gen_seed)
+    [redo] = iterate_generation([partial.values], [params], ends, gen_seed)
     assert np.array_equal(redo, full.values)
 
 
