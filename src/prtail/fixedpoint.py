@@ -19,8 +19,9 @@ is the same double, bit for bit, as summing every pick in one pass.
 Consecutive integers() calls on one stream give the same indices as
 one call for their total. The sum has one rule: every pick is added
 into its output's running sum, one at a time, in pick order
-(accel.segment_sums, an np.add.at), so a segment cut at a seam goes
-on from where the previous chunk left it. Summing a chunk's picks
+(accel.segment_sums, a compiled loop that starts each segment from
+the value already in its output), so a segment cut at a seam goes on
+from where the previous chunk left it. Summing a chunk's picks
 apart first (a bincount, or np.sum, which also adds pairwise) and
 adding that subtotal to the running sum would regroup the additions,
 and with them the rounding, wherever a cut falls.
@@ -29,7 +30,7 @@ The counts, the pick indices and the seams of a generation depend on
 the seed, d and alpha, never on c. So solve_r takes a grid of damping
 values that share d and alpha and carries one pool per c through one
 set of draws: each chunk's indices are drawn and its seams searched
-once, and every pool adds its own gather of them into its own sums by
+once, and every pool adds the values they pick into its own sums by
 the in-order rule above. Each c's pool is the same double, bit for
 bit, as a solve of that c alone.
 
@@ -40,24 +41,24 @@ draws, the seam search and segment_sums, through iterate_generation.
 The helper does what the sums do not wait for: while generation g is
 summed, it takes the diagnostics rows of generation g-1, then draws
 the counts of generation g+1 (model.sample and their running ends).
-numpy lets go of the GIL in the gathers, np.add.at, the sorts, the
-searches and the draws, so on two CPUs the threads compute at once; on
-one they take turns. Before summing generation g the main thread
-waits on the futures of the rows of g-2 and the counts of g, so a
-call that raised raises again there. On any exception the helper's
-queued calls are cancelled, a running one finishes, and the thread
-is joined before solve_r returns or raises.
+numpy and the compiled sum loop let go of the GIL in the sums, the
+sorts, the searches and the draws, so on two CPUs the threads compute
+at once; on one they take turns. Before summing generation g the main
+thread waits on the futures of the rows of g-2 and the counts of g,
+so a call that raised raises again there. On any exception the
+helper's queued calls are cancelled, a running one finishes, and the
+thread is joined before solve_r returns or raises.
 
 Threading changes no byte. Each random stream has one consumer in its
 original order: the degree streams (tags 1 and 2) the helper, the pick
-stream the main thread. The sums are the same np.add.at calls in the
+stream the main thread. The sums are the same kernel calls in the
 same order. A diagnostics row reads only pools that are finished: the
 mean is taken on the pool in its own order, the KS distance is
 integer ranks, each divided by its own sample size (see ks_distance),
 and the top 10 are read off the sorted pool. The rows of generation g-1
-compare its pools with those of g-2, which nothing gathers from any
-more, so the helper sorts those in place and copies each pool of g-1
-into one sorted buffer.
+compare its pools with those of g-2, which nothing reads picks from
+any more, so the helper sorts those in place and copies each pool of
+g-1 into one sorted buffer.
 
 Memory, in pool-sized arrays for a grid of C values of c: while
 generation g is summed and the rows of g-1 are taken, the C pools of
@@ -81,9 +82,11 @@ from .rvmodel import POISSON_MEAN_MAX, InDegreeModel, pareto_scale_for_mean, tai
 
 _TAG_PICK = 3  # pool-index stream; tags 1 and 2 belong to the degree model
 _TAG_GEN = 4   # per-generation sub-seed derivation
-# picks drawn and summed at once: 0.25 MiB per pick-sized temporary.
-# In solve_r these temporaries add to the peak that the helper's work
-# sets, and larger chunks run no faster.
+# picks drawn and summed at once: 0.25 MiB per pick-sized temporary
+# (the indices and the kernel's 1.0 weights). In solve_r these
+# temporaries add to the peak that the helper's work sets. Solves at
+# the model and compare settings ran as fast at 2^15 as at 2^16 or
+# 2^17, within the host's noise, and about 10% slower at 2^13.
 _CHUNK = 1 << 15
 # sorted values ranked at once in ks_distance: 128 KiB per temporary.
 # Much smaller chunks cost more time than they save memory: in solve_r
@@ -187,8 +190,8 @@ def iterate_generation(pools: list, grid, ends: np.ndarray, seed: int) -> list:
         # between them sums to 0, one at a seam is never touched
         first = int(np.searchsorted(ends, lo, side="right"))
         last = int(np.searchsorted(ends, hi - 1, side="right"))
-        part = np.diff(np.minimum(ends[first:last + 1], hi), prepend=lo)
-        accel.segment_sums(pools, idx, part, [out[first:last + 1] for out in sums])
+        offsets = np.concatenate(([lo], np.minimum(ends[first:last + 1], hi))) - lo
+        accel.segment_sums(pools, idx, offsets, [out[first:last + 1] for out in sums])
     # in place, the same rounding as (c/d) * sums + (1 - c)
     for out, params in zip(sums, grid):
         out *= params.c / params.d

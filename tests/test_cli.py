@@ -405,6 +405,20 @@ def test_cli_import_loads_no_interpolation():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+    # a solve loads the sum kernel's extension module from its file, not
+    # the scipy.sparse package around it
+    code = (
+        "import sys\n"
+        "from prtail.fixedpoint import ModelParams, solve_r\n"
+        "params = ModelParams(c=0.5, d=8.2, alpha=1.1)\n"
+        "solve_r([params], params.in_degree_model(), pool_size=1000, generations=1, seed=1)\n"
+        "print([m for m in sys.modules if m.startswith('scipy.sparse')])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy.sparse._sparsetools']"
 
 
 def test_pareto_lst_loads_special_functions_on_first_call():

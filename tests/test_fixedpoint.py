@@ -358,8 +358,8 @@ def test_solve_reraises_a_failed_draw(fail_at):
 def test_solve_reraises_the_ks_rejection_of_a_nan_pool(monkeypatch):
     segment_sums = accel.segment_sums
 
-    def nan_sums(pools, idx, counts, outs):
-        segment_sums(pools, idx, counts, outs)
+    def nan_sums(pools, idx, offsets, outs):
+        segment_sums(pools, idx, offsets, outs)
         outs[0][:1] = np.nan
 
     monkeypatch.setattr(accel, "segment_sums", nan_sums)
@@ -368,23 +368,32 @@ def test_solve_reraises_the_ks_rejection_of_a_nan_pool(monkeypatch):
 
 
 def test_solve_reraises_a_failure_of_the_sums(monkeypatch):
-    # the main thread fails part-way through generation 2, while the
+    # the main thread fails at the first sums of generation 2, while the
     # helper takes the rows of generation 1 with generation 3's draw
-    # queued behind them: that draw is skipped
+    # queued behind them: that draw is skipped. The generation is
+    # counted, not the sums calls: how many chunks generation 1 takes
+    # depends on its draws, and a failure inside generation 1 would race
+    # the helper's draw of generation 2
+    iterate = fixedpoint.iterate_generation
     segment_sums = accel.segment_sums
-    calls = []
+    generations = []
+
+    def counting_iterate(*args):
+        generations.append(1)
+        return iterate(*args)
 
     def failing_sums(*args):
-        calls.append(1)
-        if len(calls) == 5:
+        if len(generations) == 2:
             raise RuntimeError("sums failed on purpose")
         segment_sums(*args)
 
+    monkeypatch.setattr(fixedpoint, "iterate_generation", counting_iterate)
     monkeypatch.setattr(accel, "segment_sums", failing_sums)
     monkeypatch.setattr(fixedpoint, "_diagnose", _slowed(fixedpoint._diagnose, 0.3))
     model = _FailingModel(GRID[0].in_degree_model(), fail_at=0)
     _assert_fails_cleanly(RuntimeError, "on purpose", GRID, model, pool_size=20_000, generations=4, seed=17)
     assert model.calls == 2
+    assert len(generations) == 2
 
 
 def _peak_bytes(fn, *args):
@@ -397,7 +406,8 @@ def _peak_bytes(fn, *args):
 
 
 def test_generation_memory_is_bounded():
-    # 10^7 picks; held at once they would take 24 bytes each
+    # 10^7 picks; held at once they would take 16 bytes each, an index
+    # and the kernel's 1.0 weight
     grid = [ModelParams(c=c, d=8.2, alpha=1.1) for c in (0.1, 0.5, 0.9)]
     ends = fixedpoint._running_ends(ConstantInDegree(10**4), 1000, 1)
     iterate_generation([np.ones(1000)], grid[:1], ends, 1)  # first-call set-up off the books
@@ -406,8 +416,8 @@ def test_generation_memory_is_bounded():
     assert peak_one < 16 * 2**20
     assert peak_grid < 16 * 2**20
     # the chunk temporaries are shared: each extra c adds its sums, 8
-    # bytes per member, far below one chunk's gather (_CHUNK * 8 bytes),
-    # which a temporary held per pool would add
+    # bytes per member, far below one chunk-sized array (_CHUNK * 8
+    # bytes), which a temporary held per pool would add
     assert peak_grid < peak_one + 2 * 16 * 1000 + 2**16
 
 

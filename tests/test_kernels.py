@@ -15,16 +15,19 @@ def _edge_push_reference(src, dst, node_weight, n):
     return out
 
 
-def _segment_sums_reference(pool, idx, counts, out):
-    """Add pool[idx] into out; segment i covers counts[i] entries of idx
-    and goes on from out[i]."""
-    pos = 0
-    for i in range(counts.shape[0]):
+def _segment_sums_reference(pool, idx, offsets, out):
+    """Add pool[idx] into out; segment i covers entries offsets[i] to
+    offsets[i+1]-1 of idx and goes on from out[i]."""
+    for i in range(offsets.shape[0] - 1):
         s = out[i]
-        for _ in range(counts[i]):
+        for pos in range(offsets[i], offsets[i + 1]):
             s += pool[idx[pos]]
-            pos += 1
         out[i] = s
+
+
+def _offsets(counts):
+    """Segment offsets of the given pick counts."""
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def test_edge_push_bitwise_parity():
@@ -54,43 +57,78 @@ def test_segment_sums_bitwise_parity():
     n = 300
     counts = rng.poisson(5.0, n)
     counts[100] = 50
+    offsets = _offsets(counts)
     idx = rng.integers(0, 1000, counts.sum())
     # values of very different scales make any change of summation order show
     pool = rng.pareto(1.1, 1000) * 1e3 + 1.0 / 3.0
     other = rng.pareto(1.5, 1000) * 1e5 + 1.0 / 11.0
     for start in (np.zeros(n), rng.pareto(1.1, n) * 1e2 + 1.0 / 7.0):
         ref = start.copy()
-        _segment_sums_reference(pool, idx, counts, ref)
+        _segment_sums_reference(pool, idx, offsets, ref)
         one_call = start.copy()
-        accel.segment_sums([pool], idx, counts, [one_call])
+        accel.segment_sums([pool], idx, offsets, [one_call])
         assert np.array_equal(one_call, ref)
         # two pools in one call: each sums as if it were alone
         other_ref = start.copy()
-        _segment_sums_reference(other, idx, counts, other_ref)
+        _segment_sums_reference(other, idx, offsets, other_ref)
         both = [start.copy(), start.copy()]
-        accel.segment_sums([pool, other], idx, counts, both)
+        accel.segment_sums([pool, other], idx, offsets, both)
         assert np.array_equal(both[0], ref)
         assert np.array_equal(both[1], other_ref)
         # the same segments in two calls, cut 20 picks into segment 100
-        cut = int(counts[:100].sum()) + 20
+        cut = int(offsets[100]) + 20
         head, tail = counts[:101].copy(), counts[100:].copy()
         head[-1], tail[0] = 20, 30
         two_calls = start.copy()
-        accel.segment_sums([pool], idx[:cut], head, [two_calls[:101]])
-        accel.segment_sums([pool], idx[cut:], tail, [two_calls[100:]])
+        accel.segment_sums([pool], idx[:cut], _offsets(head), [two_calls[:101]])
+        accel.segment_sums([pool], idx[cut:], _offsets(tail), [two_calls[100:]])
         assert np.array_equal(two_calls, ref)
 
 
 def test_segment_sums_zero_counts():
-    counts = np.array([0, 3, 0, 2])
+    offsets = _offsets([0, 3, 0, 2])
     idx = np.array([0, 1, 2, 3, 4])
     pool = np.arange(5, dtype=float)
     a = np.zeros(4)
-    accel.segment_sums([pool], idx, counts, [a])
+    accel.segment_sums([pool], idx, offsets, [a])
     b = np.zeros(4)
-    _segment_sums_reference(pool, idx, counts, b)
+    _segment_sums_reference(pool, idx, offsets, b)
     assert np.array_equal(a, b)
     assert np.array_equal(a, [0.0, 3.0, 0.0, 7.0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["index past the pool", "negative index", "negative count", "offsets before idx",
+     "offsets short of idx", "offsets past idx", "out shorter than its segments",
+     "out of the wrong dtype"],
+)
+def test_segment_sums_rejects_bad_input(case):
+    # the compiled loop checks no bound: every bad input is refused
+    # before it runs, and no out is touched
+    offsets = _offsets([0, 3, 0, 2])
+    idx = np.array([0, 1, 2, 3, 4])
+    pool = np.arange(5, dtype=float)
+    out = np.zeros(4)
+    if case == "index past the pool":
+        idx[2] = 5
+    elif case == "negative index":
+        idx[2] = -1
+    elif case == "negative count":
+        offsets = _offsets([0, 3, -1, 3])
+    elif case == "offsets before idx":
+        offsets[0] = -1
+    elif case == "offsets short of idx":
+        offsets = _offsets([0, 3, 0, 1])
+    elif case == "offsets past idx":
+        offsets = _offsets([0, 3, 0, 3])
+    elif case == "out shorter than its segments":
+        out = out[:3]
+    else:
+        out = np.zeros(4, dtype=np.float32)
+    with pytest.raises(ValueError):
+        accel.segment_sums([pool], idx, offsets, [out])
+    assert not out.any()
 
 
 def _gn_links_reference(n, d, beta, seed):
