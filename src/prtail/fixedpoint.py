@@ -54,18 +54,39 @@ original order: the degree streams (tags 1 and 2) the helper, the pick
 stream the main thread. The sums are the same kernel calls in the
 same order. A diagnostics row reads only pools that are finished: the
 mean is taken on the pool in its own order, the KS distance is
-integer ranks, each divided by its own sample size (see ks_distance),
-and the top 10 are read off the sorted pool. The rows of generation g-1
-compare its pools with those of g-2, which nothing reads picks from
-any more, so the helper sorts those in place and copies each pool of
-g-1 into one sorted buffer.
+integer counts, each divided by its own sample size (see
+ks_distance), and the top 10 are read off the sorted pool. The rows
+of generation g-1 compare its pools with those of g-2, which nothing
+reads picks from any more, so the helper sorts those in place and
+copies each pool of g-1 into one sort buffer.
+
+The KS distance bounds before it searches. It counts both samples at
+or below every _KS_STRIDE-th value of one of them, where the gap is
+exact; between two such points the counts only grow, so the gap
+there is at most the larger count of one sample over the smaller of
+the other, and rounding keeps that order. Only the stretches whose
+bound beats the largest gap found are searched value by value, in a
+solve about a tenth of the values or less: the statistic is the same
+double as a search of every value.
+
+Every pool-sized array of the solve is allocated on the main thread.
+solve_r makes two pool-sized 8-byte buffers that alternate: while
+generation g is summed, one holds its running ends, and the other,
+which held those of g-1, is first the helper's sort buffer (viewed as
+doubles) for the rows of g-1 and then receives the counts of g+1,
+which model.sample draws into it in blocks (see InDegreeModel.sample)
+and _running_ends sums in place. The helper thread allocates only
+block- and chunk-sized temporaries. glibc gives each thread its own
+malloc arena, and one that has served pool-sized arrays keeps much of
+their memory after the solve; on the main thread that memory is
+reused by what the run does next.
 
 Memory, in pool-sized arrays for a grid of C values of c: while
 generation g is summed and the rows of g-1 are taken, the C pools of
-g-1, the C arrays of sums, the C pools of g-2, the sorted buffer and
-the running ends, 3C + 2; then the helper drops generation g-2 and
-draws the next counts beside 2C + 1 of them. The chunk temporaries of
-both threads, a few MiB, come on top.
+g-1, the C arrays of sums, the C pools of g-2 and the two buffers,
+3C + 2; then the helper drops generation g-2 and draws the next
+counts into its buffer beside 2C + 2 of them. The chunk and block
+temporaries of both threads, a few MiB, come on top.
 """
 
 from __future__ import annotations
@@ -92,6 +113,11 @@ _CHUNK = 1 << 15
 # Much smaller chunks cost more time than they save memory: in solve_r
 # every numpy call hands the GIL to the other thread and waits for it.
 _KS_CHUNK = 1 << 14
+# every _KS_STRIDE-th value of ks_distance's first sample is a coarse
+# point of its bound. On a seed-7 generation pair at pool 10^6 (2
+# vCPUs), strides 32 to 128 took 8 to 9 ms, 256 took 12 ms and 512
+# took 34 ms; searching every value took about 90 ms.
+_KS_STRIDE = 128
 
 DEFAULT_POOL_SIZE = 10**6
 DEFAULT_GENERATIONS = 30
@@ -199,10 +225,13 @@ def iterate_generation(pools: list, grid, ends: np.ndarray, seed: int) -> list:
     return sums
 
 
-def _running_ends(model, size: int, seed: int) -> np.ndarray:
+def _running_ends(model, size: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Where each output's picks end in the generation's pick stream:
-    the running sum of one draw of the counts."""
-    return np.cumsum(np.asarray(model.sample(size, seed), dtype=np.int64))
+    the running sum of one draw of the counts, in out (a new int64
+    array when out is None)."""
+    if out is None:
+        out = np.empty(size, dtype=np.int64)
+    return np.cumsum(model.sample(size, seed, out=out), out=out)
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -211,18 +240,28 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     The statistic is the largest |F_a(v) - F_b(v)| over the sample
     values v, with F the right-continuous empirical CDFs. Each sample
     is put in ascending order (a sorted copy; a sample already in
-    order is used as it is, and neither input is changed). Then, for
-    the last value of each run of equal values in either sample, the
-    integer count of values at or below it comes from its own position
-    and from a searchsorted in the other sample, _KS_CHUNK values at a
-    time, each search in the window the chunk's first and last values
-    bound. The counts stay integers until each is divided by its own
-    sample size, which is the same arithmetic as evaluating both
-    empirical CDFs on the pooled grid: the statistic, and with it
-    diagnostics.csv, is identical bit for bit. NaN has no place in the
-    order (it does not equal itself, so its ties cannot be grouped)
-    and is rejected. Memory is the sorted copies plus a few chunk-sized
-    temporaries.
+    order is used as it is, and neither input is changed). Every gap
+    is taken as integer counts, each divided by its own sample size:
+    F_a(v) - F_b(v) = A/n_a - B/n_b with A and B the counts of values
+    at or below v, which is the same arithmetic as evaluating both
+    empirical CDFs on the pooled grid, so the statistic, and with it
+    diagnostics.csv, is identical bit for bit.
+
+    The search is bound and refine. The coarse points are every
+    _KS_STRIDE-th value of a and its last; one searchsorted in each
+    sample counts both at or below all of them, and the largest gap
+    there is exact. Between two coarse points the counts only grow,
+    from (A_lo, B_lo) to (A_hi, B_hi), so no gap in that stretch
+    exceeds max(A_hi/n_a - B_lo/n_b, B_hi/n_b - A_lo/n_a). Division
+    by a positive size and subtraction round monotonically, so the
+    bound holds for the rounded gaps too. Only runs of stretches whose
+    bound beats the largest gap found so far, taken from the highest
+    bound down, are searched exactly (see _largest_gap). Below a's
+    first value F_a is 0 and the largest gap is the share of b there;
+    above a's last, F_a is 1 and F_b only grows, so no gap there beats
+    the one at a's last value. NaN has no place in the order (it does
+    not equal itself, so its ties cannot be grouped) and is rejected.
+    Memory is the sorted copies plus a few chunk-sized temporaries.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -232,7 +271,29 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     # the sort puts NaN last, so each sample's last value tells
     if np.isnan(a[-1]) or np.isnan(b[-1]):
         raise ParameterError("KS distance is undefined for NaN samples")
-    return max(_largest_gap(a, b), _largest_gap(b, a))
+    points = np.append(a[::_KS_STRIDE], a[-1])
+    rank_a = np.searchsorted(a, points, side="right")
+    rank_b = np.searchsorted(b, points, side="right")
+    cdf_a, cdf_b = rank_a / a.size, rank_b / b.size
+    gap = max(float(np.abs(cdf_a - cdf_b).max()), int(np.searchsorted(b, a[0], side="left")) / b.size)
+    # stretch k holds the values above coarse point k, up to point k + 1
+    bound = np.maximum(cdf_a[1:] - cdf_b[:-1], cdf_b[1:] - cdf_a[:-1])
+    # runs of stretches whose bound beats the gap: stretches first[k]
+    # to stop[k] - 1; the bounds between two runs are all below the
+    # gap, so the largest from one run's first to the next is its own
+    edges = np.flatnonzero(np.diff(bound > gap, prepend=False, append=False))
+    first, stop = edges[::2], edges[1::2]
+    run_bound = np.maximum.reduceat(bound, first) if first.size else first
+    for k in np.argsort(-run_bound, kind="stable"):
+        if not run_bound[k] > gap:
+            break
+        lo, hi = first[k], stop[k]
+        gap = max(
+            gap,
+            _largest_gap(a, b, int(rank_a[lo]), int(rank_a[hi])),
+            _largest_gap(b, a, int(rank_b[lo]), int(rank_b[hi])),
+        )
+    return gap
 
 
 def _ascending(x: np.ndarray) -> np.ndarray:
@@ -245,14 +306,18 @@ def _ascending(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _largest_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest |F_a(v) - F_b(v)| over the values v of a; a and b are
-    in ascending order."""
+def _largest_gap(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> float:
+    """Largest |F_a(v) - F_b(v)| over the values v of a[start:stop],
+    a window of whole runs of equal values; a and b are in ascending
+    order. The count of a's values at or below the last value of
+    each run is its own position, and b's count is a searchsorted,
+    _KS_CHUNK values at a time, each in the window of b that the
+    chunk's first and last values bound."""
     gap = 0.0
-    for lo in range(0, a.size, _KS_CHUNK):
-        hi = min(lo + _KS_CHUNK, a.size)
-        # with the next chunk's first value, so that a run of equal
-        # values going on past hi ends in the chunk where it ends
+    for lo in range(start, stop, _KS_CHUNK):
+        hi = min(lo + _KS_CHUNK, stop)
+        # with the next value, so that a run of equal values going on
+        # past hi ends in the chunk where it ends
         run = a[lo:hi + 1]
         last = np.flatnonzero(run[1:] != run[:-1])
         if hi == a.size:
@@ -262,10 +327,10 @@ def _largest_gap(a: np.ndarray, b: np.ndarray) -> float:
         values = run[last]
         # every b-value below the first of these values is at or below
         # each of them, and none above the last one is
-        start = int(np.searchsorted(b, values[0], side="left"))
-        stop = int(np.searchsorted(b, values[-1], side="right"))
-        rank_b = np.searchsorted(b[start:stop], values, side="right")
-        rank_b += start
+        lo_b = int(np.searchsorted(b, values[0], side="left"))
+        hi_b = int(np.searchsorted(b, values[-1], side="right"))
+        rank_b = np.searchsorted(b[lo_b:hi_b], values, side="right")
+        rank_b += lo_b
         # the values' buffer takes F_a, then the gap
         last += lo + 1
         diff = np.divide(last, a.size, out=values)
@@ -285,12 +350,13 @@ def check_solve_args(pool_size: int, generations: int, seed: int) -> None:
         raise ParameterError(f"pool_size must be at least {MIN_POOL_SIZE}, got {pool_size}")
 
 
-def _diagnose(generation: int, pools: list, older: list) -> list:
+def _diagnose(generation: int, pools: list, older: list, scratch: np.ndarray) -> list:
     """One diagnostics row per pool of a generation. older holds the
     previous generation's pools, which this sorts in place; each pool
-    is sorted in one buffer that serves the whole grid."""
+    is sorted in scratch, one pool-sized 8-byte buffer that serves the
+    whole grid."""
     rows = []
-    ordered = np.empty_like(pools[0])
+    ordered = scratch.view(np.float64)
     for pool, old in zip(pools, older):
         np.copyto(ordered, pool)
         ordered.sort()
@@ -318,7 +384,8 @@ def solve_r(
 
     The grid's entries must share d and alpha, which with the seed fix
     every draw (see the module docstring); model is their in-degree
-    model, and only the helper thread calls its sample. Each result
+    model, and only the helper thread calls its sample(n, seed, out),
+    which writes the counts into the int64 array out. Each result
     carries one diagnostics row per generation (mean, KS distance to
     the previous generation, top-10 values so heavy-tail resampling
     stays auditable). A final KS above KS_THRESHOLD only clears the
@@ -341,22 +408,26 @@ def solve_r(
     check_solve_args(pool_size, generations, seed)
     seeds = [derive(seed, _TAG_GEN, g) for g in range(1, generations + 1)]
     pools = [np.ones(pool_size)] * len(grid)
+    # generation g's running ends go to buffers[g % 2]; the other one is
+    # the helper's, first to sort in, then for the next counts
+    buffers = [np.empty(pool_size, dtype=np.int64) for _ in range(2)]
     rows = []
     helper = ThreadPoolExecutor(1, thread_name_prefix="prtail-solve-helper")
     try:
-        counts = helper.submit(_running_ends, model, pool_size, seeds[0])
+        counts = helper.submit(_running_ends, model, pool_size, seeds[0], buffers[1])
         for g, gen_seed in enumerate(seeds, 1):
             if g > 2:
                 rows[-1].result()  # generation g-2
             ends = counts.result()
+            spare = buffers[(g + 1) % 2]  # generation g-1's ends, summed
             if g > 1:
-                rows.append(helper.submit(_diagnose, g - 1, pools, older))
+                rows.append(helper.submit(_diagnose, g - 1, pools, older, spare))
             if g < generations:
-                counts = helper.submit(_running_ends, model, pool_size, seeds[g])
+                counts = helper.submit(_running_ends, model, pool_size, seeds[g], spare)
             # generation g-2 is the helper's alone from here
             older = pools
             pools = iterate_generation(older, grid, ends, gen_seed)
-        rows.append(helper.submit(_diagnose, generations, pools, older))
+        rows.append(helper.submit(_diagnose, generations, pools, older, ends))
         columns = zip(*(future.result() for future in rows))
     finally:
         helper.shutdown(cancel_futures=True)

@@ -94,15 +94,16 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _plain_text(text: str) -> bool:
-    """True when the text holds only tab, LF, CR and printable ASCII, with
-    every CR in a CRLF: np.loadtxt splits such text into lines and tokens
-    as str.splitlines and str.split do."""
-    return (
-        text.isascii()
-        and not text.encode("ascii").translate(None, _PLAIN_BYTES)
-        and text.count("\r") == text.count("\r\n")
-    )
+def _plain_bytes(text: str) -> bytes | None:
+    """The text's ASCII bytes when it holds only tab, LF, CR and printable
+    ASCII, with every CR in a CRLF, else None: np.loadtxt splits such
+    text into lines and tokens as str.splitlines and str.split do."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, _PLAIN_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    return data
 
 
 def _has_inline_comment(text: str) -> bool:
@@ -122,12 +123,15 @@ def _table_columns(text: str):
     """(src, dst) id columns read by np.loadtxt, or None wherever the
     line loop must decide: text that is not plain, an inline '#', any
     loadtxt error or warning, a shape other than (k, 2), a negative id."""
-    if not _plain_text(text) or _has_inline_comment(text):
+    data = _plain_bytes(text)
+    if data is None or _has_inline_comment(text):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+            # bytes, not StringIO(text), which would copy the text at
+            # 4 bytes a character
+            table = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments="#", ndmin=2)
         except (ValueError, Warning):
             return None
     if table.shape[1:] != (2,) or table.size == 0 or table.min() < 0:

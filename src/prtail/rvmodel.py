@@ -27,6 +27,9 @@ _TAG_MIX = 2
 # the largest mean numpy's Generator.poisson accepts; above it the draw
 # raises ValueError("lam value too large")
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+# values of T drawn and mixed at once by InDegreeModel.sample: 0.5 MiB
+# per block-sized temporary
+_BLOCK = 1 << 16
 
 
 def pareto_scale_for_mean(alpha: float, d: float) -> float:
@@ -71,7 +74,20 @@ class InDegreeModel:
 
     tail: TailSpec
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        t = self.tail.sample(n, stream(seed, _TAG_T))
-        return stream(seed, _TAG_MIX).poisson(t)
+    def sample(self, n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n counts, deterministic given seed, in out (a new int64
+        array when out is None), which is returned. T and the counts
+        are drawn _BLOCK values at a time: consecutive draws on one
+        stream give the same values as one draw of their total, so
+        the counts are the same integers at any block size, and the
+        temporaries are block-sized, not n-sized."""
+        if out is None:
+            out = np.empty(n, dtype=np.int64)
+        elif out.shape != (n,) or out.dtype != np.int64:
+            raise ParameterError(f"out must be an int64 array of shape ({n},)")
+        t_rng, mix_rng = stream(seed, _TAG_T), stream(seed, _TAG_MIX)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            out[lo:hi] = mix_rng.poisson(self.tail.sample(hi - lo, t_rng))
+        return out
 

@@ -1,9 +1,10 @@
 """Draws and models that only the tests use.
 
 The in-degree models serve solve_r as its model: any object with
-sample(n, seed) -> counts does. sample_t replays the T draws under an
-InDegreeModel's counts, and exponential_lst is the simplest transform
-oracle for theory.solve_lst.
+sample(n, seed, out=None) -> counts does, where out, when given, is an
+int64 array of n that receives the counts and is returned. sample_t
+replays the T draws under an InDegreeModel's counts, and
+exponential_lst is the simplest transform oracle for theory.solve_lst.
 """
 
 import numpy as np
@@ -22,8 +23,8 @@ class PoissonInDegree:
             raise ParameterError(f"rate must be nonnegative, got {rate}")
         self.rate = rate
 
-    def sample(self, n, seed):
-        return stream(seed, 2).poisson(self.rate, n)
+    def sample(self, n, seed, out=None):
+        return _into(out, stream(seed, 2).poisson(self.rate, n))
 
 
 class ConstantInDegree:
@@ -34,9 +35,17 @@ class ConstantInDegree:
             raise ParameterError(f"count must be nonnegative, got {count}")
         self.count = count
 
-    def sample(self, n, seed):
+    def sample(self, n, seed, out=None):
         check_seed(seed)
-        return np.full(n, self.count, dtype=np.int64)
+        return _into(out, np.full(n, self.count, dtype=np.int64))
+
+
+def _into(out, counts):
+    """counts, written into out and returned as out when out is given."""
+    if out is None:
+        return counts
+    out[:] = counts
+    return out
 
 
 def sample_t(spec: TailSpec, n: int, seed: int) -> np.ndarray:

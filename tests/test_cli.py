@@ -171,7 +171,7 @@ def test_ccdf_files_hold_the_thinned_table(tmp_path):
 def test_model_exits_2_when_a_draw_fails_in_the_solve(tmp_path, monkeypatch, capsys):
     # solve_r's helper thread draws the counts; its ParameterError
     # reaches the command's exit code, and the thread is gone
-    def failing_sample(self, n, seed):
+    def failing_sample(self, n, seed, out=None):
         raise ParameterError("draw failed on purpose")
 
     monkeypatch.setattr(InDegreeModel, "sample", failing_sample)

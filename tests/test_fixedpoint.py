@@ -161,9 +161,12 @@ class _FixedCounts:
     def __init__(self, counts):
         self.counts = np.asarray(counts, dtype=np.int64)
 
-    def sample(self, n, seed):
+    def sample(self, n, seed, out=None):
         assert n == self.counts.size
-        return self.counts
+        if out is None:
+            return self.counts
+        out[:] = self.counts
+        return out
 
 
 SEAM_COUNTS = {
@@ -282,9 +285,9 @@ class _SlowModel:
         self.model = model
         self.pause = pause
 
-    def sample(self, n, seed):
+    def sample(self, n, seed, out=None):
         time.sleep(self.pause)
-        return self.model.sample(n, seed)
+        return self.model.sample(n, seed, out=out)
 
 
 def _slowed(fn, pause):
@@ -331,11 +334,11 @@ class _FailingModel:
         self.fail_at = fail_at
         self.calls = 0
 
-    def sample(self, n, seed):
+    def sample(self, n, seed, out=None):
         self.calls += 1
         if self.calls == self.fail_at:
             raise ParameterError("draw failed on purpose")
-        return self.model.sample(n, seed)
+        return self.model.sample(n, seed, out=out)
 
 
 def _assert_fails_cleanly(expected, match, *args, **kwargs):
@@ -555,6 +558,72 @@ def test_ks_core_bit_identical_across_chunk_seams(monkeypatch, chunk):
         for x, y in ((a, b), (np.sort(a), np.sort(b)), (np.sort(a), b)):
             assert ks_distance(x, y) == ref
             assert ks_distance(y, x) == ref
+
+
+def _pruned_ks_cases():
+    """Sample pairs for the bound-and-refine search: runs of equal
+    values that span coarse points, a pool-like atom, b wholly below or
+    above a, b inside one stretch of a, signed zeros, infinities,
+    unequal sizes, sizes below the stride, and close laws, where most
+    stretches are pruned."""
+    inf = np.inf
+    rng = np.random.default_rng(29)
+    cases = [
+        ([-0.0, 0.0, -0.0, 1.0], [0.0, -0.0, 2.0]),
+        ([-inf, -inf, 0.0, inf], [-inf, 1.0, inf, inf, inf]),
+        ([inf] * 5, [-inf] * 3),
+        ([1.0], [1.0]),
+        ([2.0], [1.0, 3.0]),
+    ]
+    for _ in range(10):
+        # runs of up to 300 equal values span coarse points at stride 128
+        cases.append((np.repeat(rng.integers(0, 30, 12).astype(float), rng.integers(1, 300, 12)),
+                      np.repeat(rng.integers(0, 30, 15).astype(float), rng.integers(1, 300, 15))))
+    for na, nb in ((1000, 1000), (1500, 1100), (7, 2000), (2000, 5)):
+        # the atom at 1 - c holds about 23% of a pool
+        a, b = rng.pareto(1.1, na) + 0.5, rng.pareto(1.1, nb) + 0.5
+        a[rng.random(na) < 0.23] = 0.5
+        b[rng.random(nb) < 0.23] = 0.5
+        cases.append((a, b))
+    for na, nb in ((3000, 3000), (3000, 2999), (4096, 4097)):
+        cases.append((rng.pareto(1.1, na), rng.pareto(1.1, nb)))
+    a = np.sort(rng.random(1000))
+    cases += [
+        (a, a.min() - 1.0 - rng.random(300)),
+        (a, a.max() + 1.0 + rng.random(300)),
+        (a, rng.uniform(a[260], a[300], 50)),
+        (a, np.concatenate([[a[256]] * 3, rng.uniform(a[256], a[384], 40)])),
+        (rng.random(40), rng.random(90)),
+        (rng.choice([-inf, -0.0, 0.0, 1.0, inf], 700), rng.choice([-inf, -0.0, 0.0, 2.0, inf], 500)),
+    ]
+    return [(np.array(a, dtype=float), np.array(b, dtype=float)) for a, b in cases]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 128, 10**6])
+def test_pruned_ks_bit_identical_at_every_stride(monkeypatch, stride):
+    # 10^6 is more than both sizes of every case: one stretch, a's first
+    # value to its last, searched whole
+    monkeypatch.setattr(fixedpoint, "_KS_STRIDE", stride)
+    for a, b in _pruned_ks_cases():
+        assert ks_distance(a, b) == _ks_reference(a, b)
+        assert ks_distance(b, a) == _ks_reference(b, a)
+
+
+def test_pruned_ks_searches_few_values(monkeypatch):
+    # two samples of 10^6 from one law: the bound prunes all but a few
+    # stretches, so the exact search reads a small share of the values
+    searched = []
+    largest_gap = fixedpoint._largest_gap
+
+    def counting(a, b, start, stop):
+        searched.append(stop - start)
+        return largest_gap(a, b, start, stop)
+
+    rng = np.random.default_rng(8)
+    a, b = rng.pareto(1.1, 10**6), rng.pareto(1.1, 10**6)
+    monkeypatch.setattr(fixedpoint, "_largest_gap", counting)
+    assert ks_distance(a, b) == _ks_reference(a, b)
+    assert sum(searched) < 0.1 * (a.size + b.size)
 
 
 def test_ks_distance_bit_identical_on_generation_pools():

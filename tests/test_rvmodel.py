@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from prtail import rvmodel
 from prtail.errors import ParameterError
 from prtail.rng import stream
 from prtail.rvmodel import (
@@ -135,3 +136,29 @@ def test_sample_t_validation():
         sample_t(spec, 0, seed=0)
     with pytest.raises(ParameterError):
         sample_t(spec, 10, seed=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+def test_block_draws_match_one_shot_draw(n):
+    spec = tail_spec_for_mean(1.1, 8.2)
+    # all of T at once on its stream, then the counts over all of it
+    one_shot = stream(23, 2).poisson(sample_t(spec, n, 23))
+    assert np.array_equal(InDegreeModel(spec).sample(n, 23), one_shot)
+    buf = np.full(n, -1, dtype=np.int64)
+    assert InDegreeModel(spec).sample(n, 23, out=buf) is buf
+    assert np.array_equal(buf, one_shot)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_block_draws_are_exact_at_any_block_size(monkeypatch, block):
+    model = InDegreeModel(tail_spec_for_mean(1.1, 8.2))
+    whole = model.sample(5000, 31)
+    monkeypatch.setattr(rvmodel, "_BLOCK", block)
+    assert np.array_equal(model.sample(5000, 31), whole)
+
+
+def test_block_draws_reject_a_wrong_out():
+    model = InDegreeModel(tail_spec_for_mean(1.1, 8.2))
+    for out in (np.empty(9, dtype=np.int64), np.empty(10), np.empty((10, 1), dtype=np.int64)):
+        with pytest.raises(ParameterError):
+            model.sample(10, 1, out=out)
