@@ -6,16 +6,20 @@ Subcommands:
   generate-gn   grow a mixed preferential/uniform attachment network
   compare       predicted vs observed tail offset over a damping grid
 
-Every run writes a manifest.json recording command, parameters, and
-library versions; identical parameters and seed reproduce every
-output file byte for byte. Exit codes: 0 success, 2 parameter error,
-3 I/O or parse error, 4 numeric non-convergence.
+Every run that gets past its checks writes a manifest.json recording
+command, every parsed option but --out (pagerank records the graph's
+file name, compare the parsed c grid), library versions and the files
+written; identical parameters and seed reproduce every output file
+byte for byte. A run that fails after it has made its output directory
+records its error and exit code there too, with the files present as
+its outputs. Exit codes: 0 success, 2 parameter error, 3 I/O or parse
+error, 4 numeric non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import math
 import os
 import platform
@@ -43,7 +47,7 @@ from .graph import (
 )
 from .growingnet import GrowthParams, generate
 from .rvmodel import pareto_scale_for_mean
-from .samples import save_samples
+from .samples import save_samples, write_json, write_table
 from .tailstats import (
     DEFAULT_TOP_FRACTION,
     ccdf,
@@ -57,6 +61,13 @@ from .tailstats import (
 )
 from .theory import factor
 
+# the exit code of each error a run can end with
+_EXIT_CODES = {ParameterError: 2, DegenerateFitError: 2, ParseError: 3, OSError: 3, NumericError: 4}
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+
 
 def _versions() -> dict:
     return {
@@ -67,32 +78,62 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_dir: str, command: str, parameters: dict, outputs: list) -> None:
-    payload = {
-        "command": command,
-        "parameters": parameters,
-        "versions": _versions(),
-        "outputs": sorted(outputs),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_manifest(args, outputs, recorded: dict, **status) -> None:
+    """manifest.json of the run: every parsed option but --out, with
+    recorded's values in place of the parsed ones."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    write_json(
+        os.path.join(args.out, "manifest.json"),
+        {
+            "command": args.command,
+            "parameters": {**parameters, **recorded},
+            "versions": _versions(),
+            "outputs": sorted(outputs),
+            **status,
+        },
+    )
 
 
-def _save_tail_artifacts(values, table, prefix: str, out: str, fraction: float, outputs: list) -> None:
+@contextlib.contextmanager
+def _run_record(args, **recorded):
+    """Make the run's output directory and yield output(name), which
+    returns the path of the file name there and lists it in the
+    manifest written when the block ends.
+
+    A run that fails inside the block with one of _EXIT_CODES' errors
+    writes the manifest with its error and exit code, and with the
+    files present as outputs. An OSError on that write is dropped, so
+    the run's own error and exit code are what it reports.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    outputs = ["manifest.json"]
+
+    def output(name: str) -> str:
+        outputs.append(name)
+        return os.path.join(args.out, name)
+
+    try:
+        yield output
+    except tuple(_EXIT_CODES) as exc:
+        with contextlib.suppress(OSError):
+            present = set(os.listdir(args.out)) | {"manifest.json"}
+            _write_manifest(args, present, recorded, error=str(exc), exit_code=_exit_code(exc))
+        raise
+    _write_manifest(args, outputs, recorded)
+
+
+def _save_tail_artifacts(values, table, prefix: str, output, fraction: float) -> None:
     # both CCDF files hold the thinned table: a few hundred rows per
     # decade draw the plot, and the samples file already holds every value
     thinned = thin_ccdf(table)
-    save_ccdf(thinned, os.path.join(out, f"{prefix}_ccdf.csv"))
-    save_ccdf_loglog(thinned, os.path.join(out, f"{prefix}_ccdf_loglog.txt"))
-    outputs += [f"{prefix}_ccdf.csv", f"{prefix}_ccdf_loglog.txt"]
+    save_ccdf(thinned, output(f"{prefix}_ccdf.csv"))
+    save_ccdf_loglog(thinned, output(f"{prefix}_ccdf_loglog.txt"))
     try:
         fit = fit_tail_fraction(values, fraction)
     except DegenerateFitError as exc:
         print(f"note: skipping {prefix} tail fit ({exc})", file=sys.stderr)
         return
-    save_tail_fit(fit, os.path.join(out, f"{prefix}_tail_fit.json"))
-    outputs.append(f"{prefix}_tail_fit.json")
+    save_tail_fit(fit, output(f"{prefix}_tail_fit.json"))
 
 
 def _observed_offset(r_table, n_table):
@@ -131,24 +172,9 @@ def cmd_pagerank(args) -> int:
     check_top_fraction(args.xmin_fraction)
     g = load_edge_list(args.graph, keep_duplicates=args.keep_duplicates)
     pv = pagerank(g, c=args.c, tol=args.tol, dangling=args.dangling)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    outputs = ["pagerank.txt"]
-    save_pagerank(pv, g, os.path.join(out, "pagerank.txt"))
-    _save_tail_artifacts(pv.values, ccdf(pv.values), "pagerank", out, args.xmin_fraction, outputs)
-    _write_manifest(
-        out,
-        "pagerank",
-        {
-            "graph": os.path.basename(args.graph),
-            "c": args.c,
-            "tol": args.tol,
-            "dangling": args.dangling,
-            "keep_duplicates": args.keep_duplicates,
-            "xmin_fraction": args.xmin_fraction,
-        },
-        outputs + ["manifest.json"],
-    )
+    with _run_record(args, graph=os.path.basename(args.graph)) as output:
+        save_pagerank(pv, g, output("pagerank.txt"))
+        _save_tail_artifacts(pv.values, ccdf(pv.values), "pagerank", output, args.xmin_fraction)
     if not pv.converged:
         print(
             f"error: power iteration stopped at residual {pv.residual!r} "
@@ -164,43 +190,41 @@ def cmd_model(args) -> int:
     check_solve_args(args.pool, args.generations, args.seed)
     check_top_fraction(args.xmin_fraction)
     [log10_y] = _predicted_log10_y([params])
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    n_values, n_table, [result] = _run_model([params], args.pool, args.generations, args.seed)
-    r_table = ccdf(result.values)
-    observed = _observed_offset(r_table, n_table)
-    outputs = ["r_samples.txt", "n_samples.txt", "diagnostics.csv", "offset.json"]
-    save_samples(
-        os.path.join(out, "r_samples.txt"),
-        result.values,
-        "r",
-        args.seed,
-        {
-            "c": params.c,
-            "d": params.d,
-            "alpha": params.alpha,
-            "pool_size": args.pool,
-            "generations": args.generations,
-            "ks_final": result.ks_final,
-            "converged": result.converged,
-        },
-    )
-    save_samples(
-        os.path.join(out, "n_samples.txt"),
-        n_values,
-        "in-degree",
-        final_generation_seed(args.seed, args.generations),
-        {
-            "model": "InDegreeModel",
-            "alpha": params.alpha,
-            "x_scale": pareto_scale_for_mean(params.alpha, params.d),
-        },
-    )
-    save_diagnostics(result.diagnostics, os.path.join(out, "diagnostics.csv"))
-    _save_tail_artifacts(result.values, r_table, "r", out, args.xmin_fraction, outputs)
-    _save_tail_artifacts(n_values, n_table, "n", out, args.xmin_fraction, outputs)
-    with open(os.path.join(out, "offset.json"), "w") as fh:
-        json.dump(
+    with _run_record(args) as output:
+        n_values, n_table, [result] = _run_model([params], args.pool, args.generations, args.seed)
+        r_table = ccdf(result.values)
+        observed = _observed_offset(r_table, n_table)
+        save_samples(
+            output("r_samples.txt"),
+            result.values,
+            "r",
+            args.seed,
+            {
+                "c": params.c,
+                "d": params.d,
+                "alpha": params.alpha,
+                "pool_size": args.pool,
+                "generations": args.generations,
+                "ks_final": result.ks_final,
+                "converged": result.converged,
+            },
+        )
+        save_samples(
+            output("n_samples.txt"),
+            n_values,
+            "in-degree",
+            final_generation_seed(args.seed, args.generations),
+            {
+                "model": "InDegreeModel",
+                "alpha": params.alpha,
+                "x_scale": pareto_scale_for_mean(params.alpha, params.d),
+            },
+        )
+        save_diagnostics(result.diagnostics, output("diagnostics.csv"))
+        _save_tail_artifacts(result.values, r_table, "r", output, args.xmin_fraction)
+        _save_tail_artifacts(n_values, n_table, "n", output, args.xmin_fraction)
+        write_json(
+            output("offset.json"),
             {
                 "c": params.c,
                 "d": params.d,
@@ -209,25 +233,7 @@ def cmd_model(args) -> int:
                 "predicted_log10_y": log10_y,
                 "difference": None if observed is None else observed - log10_y,
             },
-            fh,
-            indent=2,
-            sort_keys=True,
         )
-        fh.write("\n")
-    _write_manifest(
-        out,
-        "model",
-        {
-            "c": args.c,
-            "d": args.d,
-            "alpha": args.alpha,
-            "pool": args.pool,
-            "generations": args.generations,
-            "seed": args.seed,
-            "xmin_fraction": args.xmin_fraction,
-        },
-        outputs + ["manifest.json"],
-    )
     if not result.converged:
         print(
             f"warning: final KS distance {result.ks_final!r} above threshold; "
@@ -239,16 +245,8 @@ def cmd_model(args) -> int:
 
 def cmd_generate_gn(args) -> int:
     params = GrowthParams(beta=args.beta, d=args.d, n_final=args.n, seed=args.seed)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    g = generate(params)
-    write_edge_list(g, os.path.join(out, "edges.txt"))
-    _write_manifest(
-        out,
-        "generate-gn",
-        {"beta": args.beta, "d": args.d, "n": args.n, "seed": args.seed},
-        ["edges.txt", "manifest.json"],
-    )
+    with _run_record(args) as output:
+        write_edge_list(generate(params), output("edges.txt"))
     return 0
 
 
@@ -267,31 +265,21 @@ def cmd_compare(args) -> int:
     # every grid value is checked before the solve starts
     grid_params = [ModelParams(c=c, d=args.d, alpha=args.alpha) for c in c_grid]
     check_solve_args(args.pool, args.generations, args.seed)
-    predictions = _predicted_log10_y(grid_params)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    # the N sample and each R table are dropped once they have served
-    n_table, results = _run_model(grid_params, args.pool, args.generations, args.seed)[1:]
-    offsets = [_observed_offset(ccdf(result.values), n_table) for result in results]
-    with open(os.path.join(out, "compare.csv"), "w") as fh:
-        fh.write("c,predicted_log10_y,observed_offset,difference\n")
-        for params, predicted, observed in zip(grid_params, predictions, offsets):
-            if observed is None:
-                observed = float("nan")
-            fh.write(f"{params.c!r},{predicted!r},{observed!r},{observed - predicted!r}\n")
-    _write_manifest(
-        out,
-        "compare",
-        {
-            "c": c_grid,
-            "d": args.d,
-            "alpha": args.alpha,
-            "pool": args.pool,
-            "generations": args.generations,
-            "seed": args.seed,
-        },
-        ["compare.csv", "manifest.json"],
-    )
+    predicted = numpy.array(_predicted_log10_y(grid_params))
+    with _run_record(args, c=c_grid) as output:
+        # the N sample and each R table are dropped once they have served
+        n_table, results = _run_model(grid_params, args.pool, args.generations, args.seed)[1:]
+        offsets = [_observed_offset(ccdf(result.values), n_table) for result in results]
+        observed = numpy.array([math.nan if o is None else o for o in offsets])
+        write_table(
+            output("compare.csv"),
+            "c,predicted_log10_y,observed_offset,difference\n",
+            "%r,%r,%r,%r\n",
+            numpy.array(c_grid),
+            predicted,
+            observed,
+            observed - predicted,
+        )
     return 0
 
 
@@ -348,12 +336,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, DegenerateFitError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _exit_code(exc)

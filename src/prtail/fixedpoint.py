@@ -100,6 +100,7 @@ from . import accel
 from .errors import ParameterError, StateError
 from .rng import check_seed, derive, stream
 from .rvmodel import POISSON_MEAN_MAX, InDegreeModel, pareto_scale_for_mean, tail_spec_for_mean
+from .samples import write_table
 
 _TAG_PICK = 3  # pool-index stream; tags 1 and 2 belong to the degree model
 _TAG_GEN = 4   # per-generation sub-seed derivation
@@ -440,10 +441,11 @@ def solve_r(
 def save_diagnostics(diagnostics, path) -> None:
     """CSV audit trail: generation, mean, KS, then the top-10 values."""
     top_headers = ["max"] + [f"top{i:02d}" for i in range(2, _TOP_COUNT + 1)]
-    with open(path, "w") as fh:
-        fh.write("generation,mean,ks," + ",".join(top_headers) + "\n")
-        for row in diagnostics:
-            top = list(row.top) + [math.nan] * (_TOP_COUNT - len(row.top))
-            cells = [str(row.generation), repr(row.mean), repr(row.ks)]
-            cells += [repr(float(v)) for v in top]
-            fh.write(",".join(cells) + "\n")
+    values = np.array([(row.mean, row.ks, *row.top) for row in diagnostics])
+    write_table(
+        path,
+        "generation,mean,ks," + ",".join(top_headers) + "\n",
+        "%d" + ",%r" * (2 + _TOP_COUNT) + "\n",
+        np.array([row.generation for row in diagnostics]),
+        *values.T,
+    )

@@ -1,9 +1,12 @@
-"""Text export of array-sized tables: sample arrays, CCDFs, edge lists
-and PageRank vectors all go through write_table, one printf-style row
-format per file ("%r\n", "%r,%r\n", "%d %r\n", ...)."""
+"""Every file a run writes: tables (samples, CCDFs, edge lists,
+PageRank vectors, KS diagnostics, compare rows) go through write_table,
+one printf-style row format per file ("%r\n", "%r,%r\n", "%d %r\n",
+...), and JSON records (manifests, tail fits, offsets) through
+write_json."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,14 @@ def write_table(path, head: str, fmt: str, *columns, convert=None) -> None:
             for i, column in enumerate(chunk):
                 values[i::width] = column
             fh.write((fmt * k) % tuple(values))
+
+
+def write_json(path, payload: dict) -> None:
+    """payload as JSON with sorted keys, a two-space indent and a
+    trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _format_value(v) -> str:

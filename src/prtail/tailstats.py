@@ -8,14 +8,13 @@ exponents reported by this module are CCDF exponents.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFitError, ParameterError
-from .samples import write_table
+from .samples import write_json, write_table
 
 DEFAULT_QUANTILE_BAND = (0.99, 0.9999)
 DEFAULT_TOP_FRACTION = 0.1
@@ -36,7 +35,6 @@ class CcdfTable:
 
     x: np.ndarray
     p: np.ndarray
-    n_samples: int
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -86,7 +84,7 @@ def ccdf(samples) -> CcdfTable:
         raise ParameterError("cannot build a CCDF from an empty sample")
     x, counts = np.unique(values, return_counts=True)
     p = counts[::-1].cumsum()[::-1] / values.size
-    return CcdfTable(x=x, p=p, n_samples=values.size)
+    return CcdfTable(x=x, p=p)
 
 
 def thin_ccdf(table: CcdfTable) -> CcdfTable:
@@ -103,7 +101,7 @@ def thin_ccdf(table: CcdfTable) -> CcdfTable:
     keep = np.ones(table.size, dtype=bool)
     x_cells, p_cells = _log_cells(table.x), _log_cells(table.p)
     keep[1:-1] = (x_cells[1:-1] != x_cells[:-2]) | (p_cells[1:-1] != p_cells[:-2])
-    return CcdfTable(x=table.x[keep], p=table.p[keep], n_samples=table.n_samples)
+    return CcdfTable(x=table.x[keep], p=table.p[keep])
 
 
 def _log_cells(v: np.ndarray) -> np.ndarray:
@@ -210,16 +208,16 @@ def fit_tail_fraction(samples, fraction: float = DEFAULT_TOP_FRACTION) -> TailFi
 
 
 def save_tail_fit(fit: TailFit, path) -> None:
-    payload = {
-        "x_min": fit.x_min,
-        "alpha_ccdf": fit.alpha_ccdf,
-        "n_tail": fit.n_tail,
-        "stderr": fit.stderr,
-        "density_exponent": fit.density_exponent,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(
+        path,
+        {
+            "x_min": fit.x_min,
+            "alpha_ccdf": fit.alpha_ccdf,
+            "n_tail": fit.n_tail,
+            "stderr": fit.stderr,
+            "density_exponent": fit.density_exponent,
+        },
+    )
 
 
 def log_ccdf_offset(a: CcdfTable, b: CcdfTable, quantile_band=DEFAULT_QUANTILE_BAND) -> float:

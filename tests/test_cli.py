@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, manifests, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -10,13 +11,14 @@ import threading
 import numpy as np
 import pytest
 
+from prtail import cli
 from prtail.cli import main
-from prtail.fixedpoint import KS_THRESHOLD, final_generation_seed
+from prtail.fixedpoint import KS_THRESHOLD, ModelParams, final_generation_seed, solve_r
 from prtail.graph import load_edge_list
 from prtail.errors import ParameterError
 from prtail.rvmodel import InDegreeModel, pareto_scale_for_mean, tail_spec_for_mean
-from prtail.tailstats import ROWS_PER_DECADE
-from prtail.theory import pareto_lst
+from prtail.tailstats import ROWS_PER_DECADE, ccdf, log_ccdf_offset
+from prtail.theory import factor, pareto_lst
 
 STAR = "1 0\n2 0\n3 0\n0 1\n"
 
@@ -34,6 +36,30 @@ def dir_bytes(out_dir):
     return {
         name: open(os.path.join(out_dir, name), "rb").read() for name in os.listdir(out_dir)
     }
+
+
+def write_json_reference(path, payload):
+    """A JSON artifact as one json.dump."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+COMMANDS = ["pagerank", "model", "generate-gn", "compare"]
+
+
+def small_run(command, tmp_path):
+    """argv, without --out, of a small run of command that succeeds;
+    pagerank reads a random 300-node graph.txt written to tmp_path."""
+    rng = np.random.default_rng(9)
+    edges = rng.integers(0, 300, (1500, 2))
+    (tmp_path / "graph.txt").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    return {
+        "pagerank": ["pagerank", str(tmp_path / "graph.txt"), "--c", "0.85"],
+        "model": ["model", "--c", "0.9", "--pool", "1500", "--generations", "2", "--seed", "7"],
+        "generate-gn": ["generate-gn", "--beta", "0.2", "--d", "3", "--n", "300", "--seed", "3"],
+        "compare": ["compare", "--c", "0.5,0.9", "--pool", "1500", "--generations", "2", "--seed", "7"],
+    }[command]
 
 
 def test_pagerank_command_smoke(tmp_path):
@@ -182,6 +208,46 @@ def test_model_exits_2_when_a_draw_fails_in_the_solve(tmp_path, monkeypatch, cap
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("error, code", [(OSError, 3), (ParameterError, 2)])
+def test_failed_run_records_its_error(tmp_path, monkeypatch, capsys, error, code):
+    # the R sample is written, then the N sample's write fails
+    real = cli.save_samples
+
+    def failing_n_sample(path, *args):
+        if os.path.basename(path) == "n_samples.txt":
+            raise error("write failed on purpose")
+        real(path, *args)
+
+    monkeypatch.setattr(cli, "save_samples", failing_n_sample)
+    out = tmp_path / "out"
+    argv = ["model", "--c", "0.5", "--pool", "1000", "--generations", "2", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == "error: write failed on purpose\n"
+    manifest = read_manifest(out)
+    assert manifest["error"] == "write failed on purpose"
+    assert manifest["exit_code"] == code
+    assert manifest["outputs"] == sorted(os.listdir(out)) == ["manifest.json", "r_samples.txt"]
+    assert manifest["command"] == "model"
+    assert manifest["parameters"] == MANIFESTS["model"][0] | {"c": 0.5, "pool": 1000, "seed": 1}
+
+
+def test_failed_record_keeps_the_run_error(tmp_path, monkeypatch, capsys):
+    # a full disk fails the record too: the run still reports its own error
+    def failing(name):
+        def fail(*args):
+            raise OSError(f"{name} failed on purpose")
+
+        return fail
+
+    monkeypatch.setattr(cli, "save_samples", failing("sample"))
+    monkeypatch.setattr(cli, "write_json", failing("record"))
+    out = tmp_path / "out"
+    argv = ["model", "--c", "0.5", "--pool", "1000", "--generations", "2", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: sample failed on purpose\n"
+    assert os.listdir(out) == []
+
+
 def test_model_sample_file_headers(tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -216,12 +282,111 @@ def test_model_sample_file_headers(tmp_path):
     ]
 
 
-def test_model_is_byte_reproducible(tmp_path):
-    args = ["model", "--c", "0.9", "--pool", "1500", "--generations", "2", "--seed", "7"]
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_is_byte_reproducible(tmp_path, command):
+    args = small_run(command, tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert dir_bytes(out_a) == dir_bytes(out_b)
+
+
+def parser_destinations(command):
+    """The destinations of command's options and arguments."""
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in subparsers.choices[command]._actions} - {"help"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_records_every_option_but_out(tmp_path, command):
+    out = tmp_path / "out"
+    assert main(small_run(command, tmp_path) + ["--out", str(out)]) == 0
+    assert set(read_manifest(out)["parameters"]) == parser_destinations(command) - {"out"}
+
+
+MODEL_OUTPUTS = [
+    "diagnostics.csv", "manifest.json", "n_ccdf.csv", "n_ccdf_loglog.txt", "n_samples.txt",
+    "n_tail_fit.json", "offset.json", "r_ccdf.csv", "r_ccdf_loglog.txt", "r_samples.txt", "r_tail_fit.json",
+]
+MANIFESTS = {
+    "pagerank": (
+        {"graph": "graph.txt", "c": 0.85, "tol": 1e-10, "dangling": "redistribute",
+         "keep_duplicates": False, "xmin_fraction": 0.1},
+        ["manifest.json", "pagerank.txt", "pagerank_ccdf.csv", "pagerank_ccdf_loglog.txt",
+         "pagerank_tail_fit.json"],
+    ),
+    "model": (
+        {"c": 0.9, "d": 8.2, "alpha": 1.1, "pool": 1500, "generations": 2, "seed": 7,
+         "xmin_fraction": 0.1},
+        MODEL_OUTPUTS,
+    ),
+    "generate-gn": ({"beta": 0.2, "d": 3, "n": 300, "seed": 3}, ["edges.txt", "manifest.json"]),
+    "compare": (
+        {"c": [0.5, 0.9], "d": 8.2, "alpha": 1.1, "pool": 1500, "generations": 2, "seed": 7},
+        ["compare.csv", "manifest.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_bytes_match_reference(tmp_path, command):
+    out = tmp_path / "out"
+    assert main(small_run(command, tmp_path) + ["--out", str(out)]) == 0
+    parameters, outputs = MANIFESTS[command]
+    versions = read_manifest(out)["versions"]
+    write_json_reference(
+        tmp_path / "ref.json",
+        {"command": command, "parameters": parameters, "versions": versions, "outputs": outputs},
+    )
+    assert (out / "manifest.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("c", [0.5, 1e-6])
+def test_offset_json_bytes_match_reference(tmp_path, c):
+    out = tmp_path / "out"
+    argv = ["model", "--c", repr(c), "--pool", "2000", "--generations", "3", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    r_values = np.loadtxt(out / "r_samples.txt", comments="#")
+    n_values = np.loadtxt(out / "n_samples.txt", comments="#")
+    predicted = math.log10(factor(c, 8.2, 1.1))
+    try:
+        observed = log_ccdf_offset(ccdf(r_values), ccdf(n_values))
+    except ParameterError:
+        observed = None
+    write_json_reference(
+        tmp_path / "ref.json",
+        {
+            "c": c,
+            "d": 8.2,
+            "alpha": 1.1,
+            "observed_offset": observed,
+            "predicted_log10_y": predicted,
+            "difference": None if observed is None else observed - predicted,
+        },
+    )
+    assert (out / "offset.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_compare_csv_bytes_match_reference(tmp_path):
+    # c = 1e-5 leaves R a point mass with no tail band: its row holds nan
+    out = tmp_path / "out"
+    argv = ["compare", "--c", "0.5,1e-5,0.9", "--pool", "1000", "--generations", "2", "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    grid = [ModelParams(c=c, d=8.2, alpha=1.1) for c in (0.5, 1e-5, 0.9)]
+    model = grid[0].in_degree_model()
+    results = solve_r(grid, model, pool_size=1000, generations=2, seed=3)
+    n_table = ccdf(model.sample(1000, final_generation_seed(3, 2)))
+    with open(tmp_path / "ref.csv", "w") as fh:
+        fh.write("c,predicted_log10_y,observed_offset,difference\n")
+        for params, result in zip(grid, results):
+            predicted = math.log10(factor(params.c, params.d, params.alpha))
+            try:
+                observed = log_ccdf_offset(ccdf(result.values), n_table)
+            except ParameterError:
+                observed = float("nan")
+            fh.write(f"{params.c!r},{predicted!r},{observed!r},{observed - predicted!r}\n")
+    assert (out / "compare.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (out / "compare.csv").read_text().splitlines()[2].endswith(",nan,nan")
 
 
 def test_model_different_seed_changes_samples(tmp_path):
@@ -438,20 +603,20 @@ def test_pareto_lst_loads_special_functions_on_first_call():
     assert float(value) == pareto_lst(tail_spec_for_mean(1.5, 8.2))(0.5)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["model", "--c", "0.5", "--d", "inf", "--pool", "1000", "--generations", "1"],
-        ["compare", "--c", "0.5,nan", "--pool", "1000", "--generations", "1"],
-        ["compare", "--c", "0.5,x", "--pool", "1000", "--generations", "1"],
-        ["generate-gn", "--beta", "0.2", "--d", "8", "--n", "8"],
-        ["pagerank", "missing.txt", "--c", "0.85"],
-        ["model", "--c", "0.5", "--pool", "0", "--generations", "1"],
-        ["compare", "--c", "0.5", "--pool", "1000", "--generations", "0"],
-        ["model", "--c", "0.5", "--pool", "1000", "--generations", "2", "--xmin-fraction", "0"],
-        ["pagerank", "star.txt", "--c", "0.85", "--xmin-fraction", "0"],
-    ],
-)
+REJECTED = [
+    ["model", "--c", "0.5", "--d", "inf", "--pool", "1000", "--generations", "1"],
+    ["compare", "--c", "0.5,nan", "--pool", "1000", "--generations", "1"],
+    ["compare", "--c", "0.5,x", "--pool", "1000", "--generations", "1"],
+    ["generate-gn", "--beta", "0.2", "--d", "8", "--n", "8"],
+    ["pagerank", "missing.txt", "--c", "0.85"],
+    ["model", "--c", "0.5", "--pool", "0", "--generations", "1"],
+    ["compare", "--c", "0.5", "--pool", "1000", "--generations", "0"],
+    ["model", "--c", "0.5", "--pool", "1000", "--generations", "2", "--xmin-fraction", "0"],
+    ["pagerank", "star.txt", "--c", "0.85", "--xmin-fraction", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED)
 def test_rejected_run_leaves_no_directory(tmp_path, argv):
     out = tmp_path / "out"
     (tmp_path / "star.txt").write_text(STAR)
@@ -479,3 +644,14 @@ def test_unrepresentable_run_exits_2_before_its_directory(tmp_path, capsys, argv
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_rejected_rerun_keeps_the_earlier_record(tmp_path, argv):
+    out = tmp_path / "out"
+    (tmp_path / "star.txt").write_text(STAR)
+    assert main(small_run("generate-gn", tmp_path) + ["--out", str(out)]) == 0
+    before = dir_bytes(out)
+    argv = [str(tmp_path / a) if a in ("missing.txt", "star.txt") else a for a in argv]
+    assert main(argv + ["--out", str(out)]) in (2, 3)
+    assert dir_bytes(out) == before

@@ -11,6 +11,7 @@ import pytest
 from prtail import accel, fixedpoint
 from prtail.errors import ParameterError, StateError
 from prtail.fixedpoint import (
+    GenerationDiagnostics,
     ModelParams,
     final_generation_seed,
     iterate_generation,
@@ -755,3 +756,24 @@ def test_diagnostics_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) > 0.0
+
+
+def _save_diagnostics_reference(diagnostics, path):
+    """save_diagnostics as one write per row."""
+    with open(path, "w") as fh:
+        fh.write("generation,mean,ks,max," + ",".join(f"top{i:02d}" for i in range(2, 11)) + "\n")
+        for row in diagnostics:
+            cells = [str(row.generation), repr(row.mean), repr(row.ks)] + [repr(v) for v in row.top]
+            fh.write(",".join(cells) + "\n")
+
+
+def test_save_diagnostics_bytes_match_reference(tmp_path):
+    params = ModelParams(c=0.5, d=8.2, alpha=1.1)
+    [result] = solve_r([params], params.in_degree_model(), pool_size=1000, generations=3, seed=4)
+    rng = np.random.default_rng(8)
+    top = tuple(sorted((10.0 ** rng.uniform(-300, 300, 10)).tolist(), reverse=True))
+    extreme = GenerationDiagnostics(generation=12, mean=0.1, ks=5e-324, top=top)
+    for diagnostics in (result.diagnostics, (*result.diagnostics, extreme)):
+        save_diagnostics(diagnostics, tmp_path / "new.csv")
+        _save_diagnostics_reference(diagnostics, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -1,5 +1,6 @@
 """CCDF tables, tail-index fits, and log-offset measurement."""
 
+import json
 import math
 
 import numpy as np
@@ -70,14 +71,13 @@ def _table(rows, nonpositive=()):
     rng = np.random.default_rng(rows)
     positive = np.sort(10.0 ** rng.uniform(-300, 300, rows))
     x = np.concatenate([nonpositive, positive])
-    return CcdfTable(x=x, p=np.arange(x.size, 0, -1) / x.size, n_samples=x.size)
+    return CcdfTable(x=x, p=np.arange(x.size, 0, -1) / x.size)
 
 
 def test_ccdf_single_value():
     table = ccdf(np.array([5.0]))
     assert np.array_equal(table.x, [5.0])
     assert np.array_equal(table.p, [1.0])
-    assert table.n_samples == 1
 
 
 def test_ccdf_hand_example():
@@ -96,11 +96,11 @@ def test_ccdf_first_point_is_total_mass():
 
 def test_ccdf_table_invariants():
     with pytest.raises(ParameterError):
-        CcdfTable(x=np.array([1.0, 1.0]), p=np.array([1.0, 0.5]), n_samples=2)
+        CcdfTable(x=np.array([1.0, 1.0]), p=np.array([1.0, 0.5]))
     with pytest.raises(ParameterError):
-        CcdfTable(x=np.array([1.0, 2.0]), p=np.array([0.5, 1.0]), n_samples=2)
+        CcdfTable(x=np.array([1.0, 2.0]), p=np.array([0.5, 1.0]))
     with pytest.raises(ParameterError):
-        CcdfTable(x=np.array([1.0, 2.0]), p=np.array([1.0, 0.0]), n_samples=2)
+        CcdfTable(x=np.array([1.0, 2.0]), p=np.array([1.0, 0.0]))
 
 
 def test_quantile_on_hand_table():
@@ -208,14 +208,14 @@ def test_log_ccdf_offset_identity_is_zero():
 
 def test_log_ccdf_offset_detects_pure_vertical_shift():
     table = ccdf(sample_t(tail_spec_for_mean(1.1, 8.2), 10**5, seed=9))
-    shifted = CcdfTable(x=table.x, p=table.p / 10.0, n_samples=table.n_samples)
+    shifted = CcdfTable(x=table.x, p=table.p / 10.0)
     assert log_ccdf_offset(table, shifted) == pytest.approx(1.0, abs=1e-12)
     assert log_ccdf_offset(shifted, table) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_log_ccdf_offset_disjoint_supports():
-    a = CcdfTable(x=np.array([1.0, 2.0]), p=np.array([1.0, 0.5]), n_samples=2)
-    b = CcdfTable(x=np.array([100.0, 200.0]), p=np.array([1.0, 0.5]), n_samples=2)
+    a = CcdfTable(x=np.array([1.0, 2.0]), p=np.array([1.0, 0.5]))
+    b = CcdfTable(x=np.array([100.0, 200.0]), p=np.array([1.0, 0.5]))
     with pytest.raises(ParameterError):
         log_ccdf_offset(a, b, quantile_band=(0.2, 0.4))
 
@@ -242,9 +242,23 @@ def test_save_ccdf_loglog_format(tmp_path):
     assert np.allclose(cols[:, 1], np.log10([1.0, 0.75, 0.25]))
 
 
-def test_save_tail_fit_json(tmp_path):
-    import json
+def test_save_tail_fit_bytes_match_reference(tmp_path):
+    fit = fit_tail_mle(np.array([0.1, 0.3, 7.0, 1e300]), 0.1)
+    save_tail_fit(fit, tmp_path / "new.json")
+    with open(tmp_path / "ref.json", "w") as fh:
+        payload = {
+            "alpha_ccdf": fit.alpha_ccdf,
+            "density_exponent": fit.density_exponent,
+            "n_tail": fit.n_tail,
+            "stderr": fit.stderr,
+            "x_min": fit.x_min,
+        }
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
+
+def test_save_tail_fit_json(tmp_path):
     fit = fit_tail_mle(np.array([1.0, 2.0, 4.0, 8.0]), 1.0)
     path = tmp_path / "fit.json"
     save_tail_fit(fit, path)
@@ -273,10 +287,10 @@ def test_save_ccdf_loglog_bytes_match_reference(tmp_path, rows):
 
 
 def test_thin_ccdf_keeps_one_and_two_row_tables():
-    one = CcdfTable(x=np.array([5.0]), p=np.array([1.0]), n_samples=1)
+    one = CcdfTable(x=np.array([5.0]), p=np.array([1.0]))
     assert _rows(thin_ccdf(one)) == [(5.0, 1.0)]
     # both rows share one cell, and both are kept: first and last
-    two = CcdfTable(x=np.array([1.0, 1.001]), p=np.array([1.0, 1.0]), n_samples=2)
+    two = CcdfTable(x=np.array([1.0, 1.001]), p=np.array([1.0, 1.0]))
     assert _rows(thin_ccdf(two)) == [(1.0, 1.0), (1.001, 1.0)]
 
 
@@ -286,7 +300,6 @@ def test_thin_ccdf_keeps_exact_p_of_tied_samples():
     table = ccdf(values)
     thinned = thin_ccdf(table)
     assert thinned.size < table.size
-    assert thinned.n_samples == values.size
     at_least = values.size - np.searchsorted(np.sort(values), thinned.x, side="left")
     assert np.array_equal(thinned.p, at_least / values.size)
     assert _rows(thinned) == _thin_reference(table)
@@ -296,7 +309,7 @@ def test_thin_ccdf_keeps_zero_row_that_loglog_drops(tmp_path):
     # x <= 0 rows share one cell below every other: the first positive
     # row opens a new one; the two nonpositive rows here differ in p
     x = np.array([-1.0, 0.0, 2e-3, 2.0001e-3, 5.0])
-    table = CcdfTable(x=x, p=np.array([1.0, 0.8, 0.6, 0.595, 0.2]), n_samples=5)
+    table = CcdfTable(x=x, p=np.array([1.0, 0.8, 0.6, 0.595, 0.2]))
     thinned = thin_ccdf(table)
     assert _rows(thinned) == [(-1.0, 1.0), (0.0, 0.8), (2e-3, 0.6), (5.0, 0.2)]
     save_ccdf(thinned, tmp_path / "t.csv")
@@ -309,7 +322,7 @@ def test_thin_ccdf_keeps_zero_row_that_loglog_drops(tmp_path):
 def test_thin_ccdf_keeps_every_row_of_a_sparse_table():
     # each row in its own x cell: fewer rows than the grid, all kept
     x = 10.0 ** np.array([-2.3, -0.7, 0.5, 1.25, 3.9])
-    table = CcdfTable(x=x, p=np.array([1.0, 0.8, 0.6, 0.4, 0.2]), n_samples=5)
+    table = CcdfTable(x=x, p=np.array([1.0, 0.8, 0.6, 0.4, 0.2]))
     assert _rows(thin_ccdf(table)) == _rows(table)
 
 
