@@ -12,8 +12,9 @@ file name, compare the parsed c grid), library versions and the files
 written; identical parameters and seed reproduce every output file
 byte for byte. A run that fails after it has made its output directory
 records its error and exit code there too, with the files present as
-its outputs. Exit codes: 0 success, 2 parameter error, 3 I/O or parse
-error, 4 numeric non-convergence.
+its outputs; a pagerank run that does not converge is one of them.
+--out must name a new or an empty directory. Exit codes: 0 success,
+2 parameter error, 3 I/O or parse error, 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -175,13 +176,12 @@ def cmd_pagerank(args) -> int:
     with _run_record(args, graph=os.path.basename(args.graph)) as output:
         save_pagerank(pv, g, output("pagerank.txt"))
         _save_tail_artifacts(pv.values, ccdf(pv.values), "pagerank", output, args.xmin_fraction)
-    if not pv.converged:
-        print(
-            f"error: power iteration stopped at residual {pv.residual!r} "
-            f"after {pv.iterations} iterations without reaching tolerance",
-            file=sys.stderr,
-        )
-        return 4
+        # the artifacts stay for inspection, and the manifest records the failure
+        if not pv.converged:
+            raise NumericError(
+                f"power iteration stopped at residual {pv.residual!r} "
+                f"after {pv.iterations} iterations without reaching tolerance"
+            )
     return 0
 
 
@@ -332,9 +332,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Raise ParameterError when out is a directory that holds files:
+    a run there would leave them beside its own, unlisted."""
+    if os.path.isdir(out) and os.listdir(out):
+        raise ParameterError(f"output directory {out!r} already holds files; choose a new or empty one")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

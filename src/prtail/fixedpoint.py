@@ -235,13 +235,16 @@ def _running_ends(model, size: int, seed: int, out: np.ndarray | None = None) ->
     return np.cumsum(model.sample(size, seed, out=out), out=out)
 
 
-def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+def ks_distance(a: np.ndarray, b: np.ndarray, *, presorted: bool = False) -> float:
     """Exact two-sample Kolmogorov-Smirnov statistic.
 
     The statistic is the largest |F_a(v) - F_b(v)| over the sample
     values v, with F the right-continuous empirical CDFs. Each sample
     is put in ascending order (a sorted copy; a sample already in
-    order is used as it is, and neither input is changed). Every gap
+    order is used as it is, and neither input is changed). A caller
+    that has just sorted both samples passes presorted=True, which
+    skips the two passes that check their order; the samples must then
+    be in np.sort's order, and NaN is still rejected. Every gap
     is taken as integer counts, each divided by its own sample size:
     F_a(v) - F_b(v) = A/n_a - B/n_b with A and B the counts of values
     at or below v, which is the same arithmetic as evaluating both
@@ -268,7 +271,8 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
         raise ParameterError("KS distance requires two nonempty 1-d samples")
-    a, b = _ascending(a), _ascending(b)
+    if not presorted:
+        a, b = _ascending(a), _ascending(b)
     # the sort puts NaN last, so each sample's last value tells
     if np.isnan(a[-1]) or np.isnan(b[-1]):
         raise ParameterError("KS distance is undefined for NaN samples")
@@ -366,7 +370,7 @@ def _diagnose(generation: int, pools: list, older: list, scratch: np.ndarray) ->
             GenerationDiagnostics(
                 generation=generation,
                 mean=float(pool.mean()),
-                ks=ks_distance(ordered, old),
+                ks=ks_distance(ordered, old, presorted=True),
                 top=tuple(float(v) for v in ordered[:-_TOP_COUNT - 1:-1]),
             )
         )

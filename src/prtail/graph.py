@@ -22,7 +22,7 @@ import numpy as np
 
 from . import accel
 from .errors import ParameterError, ParseError
-from .samples import write_table
+from .samples import write_id_pairs, write_table
 
 DANGLING_POLICIES = ("redistribute", "drop")
 DEFAULT_TOL = 1e-10
@@ -94,43 +94,38 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _plain_bytes(text: str) -> bytes | None:
-    """The text's ASCII bytes when it holds only tab, LF, CR and printable
-    ASCII, with every CR in a CRLF, else None: np.loadtxt splits such
-    text into lines and tokens as str.splitlines and str.split do."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    if data.translate(None, _PLAIN_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    return data
+def _plain(data: bytes) -> bool:
+    """True when data holds only tab, LF, CR and printable ASCII, with
+    every CR in a CRLF: np.loadtxt splits such bytes into lines and
+    tokens as str.splitlines and str.split, or a text-mode file, do."""
+    if data.translate(None, _PLAIN_BYTES):
+        return False
+    # a search for CR costs a tenth of a count of CRLF
+    return b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
 
 
-def _has_inline_comment(text: str) -> bool:
+def _has_inline_comment(data: bytes) -> bool:
     """True when a '#' follows data on its line."""
-    pos = text.find("#")
+    pos = data.find(b"#")
     while pos >= 0:
-        if text[text.rfind("\n", 0, pos) + 1 : pos].strip():
+        if data[data.rfind(b"\n", 0, pos) + 1 : pos].strip():
             return True
-        end = text.find("\n", pos)
+        end = data.find(b"\n", pos)
         if end < 0:
             return False
-        pos = text.find("#", end)
+        pos = data.find(b"#", end)
     return False
 
 
-def _table_columns(text: str):
+def _table_columns(data: bytes):
     """(src, dst) id columns read by np.loadtxt, or None wherever the
-    line loop must decide: text that is not plain, an inline '#', any
+    line loop must decide: bytes that are not plain, an inline '#', any
     loadtxt error or warning, a shape other than (k, 2), a negative id."""
-    data = _plain_bytes(text)
-    if data is None or _has_inline_comment(text):
+    if not _plain(data) or _has_inline_comment(data):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            # bytes, not StringIO(text), which would copy the text at
-            # 4 bytes a character
             table = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments="#", ndmin=2)
         except (ValueError, Warning):
             return None
@@ -166,10 +161,16 @@ def _line_columns(lines):
 
 
 def _graph_from_ids(raw_src, raw_dst, keep_duplicates: bool) -> DirectedGraph:
+    """Graph of parsed edges, whose ids are all nonnegative."""
     original_ids = _sorted_unique(np.concatenate([raw_src, raw_dst]))
-    src = np.searchsorted(original_ids, raw_src)
-    dst = np.searchsorted(original_ids, raw_dst)
     n = original_ids.size
+    # n distinct nonnegative ids up to n - 1 are exactly 0..n-1, which
+    # are their own dense ids: searchsorted would return them unchanged
+    if original_ids[-1] == n - 1:
+        src, dst = raw_src, raw_dst
+    else:
+        src = np.searchsorted(original_ids, raw_src)
+        dst = np.searchsorted(original_ids, raw_dst)
     if not keep_duplicates:
         keys = _sorted_unique(src * np.int64(n) + dst)
         src, dst = keys // n, keys % n
@@ -186,32 +187,44 @@ def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
     of lines.
     """
     if isinstance(lines, str):
-        columns = _table_columns(lines) or _line_columns(lines.splitlines())
+        columns = None
+        if lines.isascii():
+            columns = _table_columns(lines.encode("ascii"))
+        columns = columns or _line_columns(lines.splitlines())
     else:
         columns = _line_columns(lines)
     return _graph_from_ids(*columns, keep_duplicates)
 
 
 def load_edge_list(path, keep_duplicates: bool = False) -> DirectedGraph:
-    """parse_edge_list of a file, whose lines end at newlines only."""
-    with open(path) as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not a text file: {exc}") from None
-    # StringIO, like the file, breaks lines at "\n" alone, where
-    # str.splitlines would also break them at "\x0c", "\x85" and others
-    columns = _table_columns(text) or _line_columns(io.StringIO(text))
+    """parse_edge_list of a file, read as a text-mode file reads it:
+    lines end at "\n", "\r\n" or a lone "\r".
+
+    The file is read as bytes, and np.loadtxt reads them when they pass
+    the plainness and inline-'#' checks. Otherwise the file is read
+    again in text mode for the line loop, which raises ParseError on a
+    file that does not decode."""
+    with open(path, "rb") as fh:
+        columns = _table_columns(fh.read())
+    if columns is None:
+        with open(path) as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not a text file: {exc}") from None
+        # StringIO, like the file, breaks lines at "\n" alone, where
+        # str.splitlines would also break them at "\x0c", "\x85" and others
+        columns = _line_columns(io.StringIO(text))
     return _graph_from_ids(*columns, keep_duplicates)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
-    """Edge lines under original ids; parse_edge_list round-trips it."""
-    # each node's id is formatted once, and each chunk looks its rows'
-    # ids up by dense id: no id column of edge length is gathered
-    ids = list(map(str, g.original_ids.tolist()))
+    """Edge lines "u v" under original ids, in (src, dst) order, below
+    a header line; parse_edge_list round-trips it. Each node's id is
+    formatted once into samples' digit table, and each chunk of lines
+    is gathered from it as bytes (samples.write_id_pairs)."""
     head = f"# directed edge list: {g.n} nodes, {g.m} edges\n"
-    write_table(path, head, "%s %s\n", g.src, g.dst, convert=ids.__getitem__)
+    write_id_pairs(path, head, g.original_ids, g.src, g.dst)
 
 
 @dataclass(frozen=True)

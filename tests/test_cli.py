@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: artifacts, manifests, exit codes."""
 
 import argparse
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -33,9 +35,11 @@ def read_manifest(out_dir):
 
 
 def dir_bytes(out_dir):
-    return {
-        name: open(os.path.join(out_dir, name), "rb").read() for name in os.listdir(out_dir)
-    }
+    files = {}
+    for name in os.listdir(out_dir):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
 
 
 def write_json_reference(path, payload):
@@ -127,9 +131,16 @@ def test_pagerank_non_convergence_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["pagerank", str(graph), "--c", "0.99", "--tol", "1e-300", "--out", str(out)])
     assert rc == 4
-    assert "without reaching tolerance" in capsys.readouterr().err
-    # artifacts are still written for inspection
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith("error: power iteration stopped at residual ")
+    assert error.endswith(" without reaching tolerance")
+    # artifacts are still written for inspection, and the record says the run failed
     assert (out / "pagerank.txt").exists()
+    manifest = read_manifest(out)
+    assert manifest["error"] == error[len("error: ") :]
+    assert manifest["exit_code"] == 4
+    assert manifest["outputs"] == sorted(os.listdir(out))
+    assert "pagerank.txt" in manifest["outputs"]
 
 
 def test_model_command_artifacts_and_offset(tmp_path):
@@ -646,6 +657,26 @@ def test_unrepresentable_run_exits_2_before_its_directory(tmp_path, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_rerun_into_a_used_directory_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = small_run(command, tmp_path) + ["--out", str(out)]
+    assert main(argv) == 0
+    before = dir_bytes(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory ") and str(out) in err
+    assert dir_bytes(out) == before
+
+
+def test_empty_out_directory_is_accepted(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(small_run("generate-gn", tmp_path) + ["--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == read_manifest(out)["outputs"]
+
+
 @pytest.mark.parametrize("argv", REJECTED)
 def test_rejected_rerun_keeps_the_earlier_record(tmp_path, argv):
     out = tmp_path / "out"
@@ -655,3 +686,21 @@ def test_rejected_rerun_keeps_the_earlier_record(tmp_path, argv):
     argv = [str(tmp_path / a) if a in ("missing.txt", "star.txt") else a for a in argv]
     assert main(argv + ["--out", str(out)]) in (2, 3)
     assert dir_bytes(out) == before
+
+
+def test_benchmark_span_names_resolve():
+    # perfbench/tracing.py names library functions by "layer.name" or
+    # "layer.Class.method"; a name that no longer resolves would read
+    # as a metric of 0 instead of failing
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = set(tracing.TIME_METRICS) | set(tracing.CALL_METRICS) | set(tracing.WORK_METRICS)
+    assert len(names) == 26
+    for name in sorted(names):
+        layer, *attrs = name.split(".")
+        obj = importlib.import_module(f"prtail.{layer}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        assert inspect.isfunction(obj), name

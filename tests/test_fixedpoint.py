@@ -549,6 +549,20 @@ def _ks_cases():
     return [(np.array(a, dtype=float), np.array(b, dtype=float)) for a, b in cases]
 
 
+def test_presorted_ks_skips_the_order_checks(monkeypatch):
+    def no_check(x):
+        raise AssertionError("order checked")
+
+    for a, b in _ks_cases():
+        a, b = np.sort(a), np.sort(b)
+        ref = ks_distance(a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(fixedpoint, "_ascending", no_check)
+            assert ks_distance(a, b, presorted=True) == ref
+            with pytest.raises(ParameterError, match="NaN"):
+                ks_distance(a, np.append(b, np.nan), presorted=True)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64, None])
 def test_ks_core_bit_identical_across_chunk_seams(monkeypatch, chunk):
     if chunk is not None:

@@ -159,7 +159,7 @@ ODD_CORPUS = [
 
 @pytest.mark.parametrize("text", PLAIN_CORPUS)
 def test_loadtxt_reads_plain_text(text):
-    assert graph_module._table_columns(text) is not None
+    assert graph_module._table_columns(text.encode("ascii")) is not None
 
 
 @pytest.mark.parametrize("keep_duplicates", [False, True])
@@ -359,12 +359,63 @@ def _sparse_graph(seed, n, m):
     return from_edges(rng.integers(0, n, m), rng.integers(0, n, m), n=n, original_ids=ids)
 
 
-def test_write_edge_list_bytes_match_reference(tmp_path):
+# every digit count from 1 to 19, at both ends, and the int64 extremes
+BOUNDARY_IDS = sorted({0, 1, 2**63 - 1} | {10**k - 1 for k in range(1, 19)} | {10**k for k in range(1, 19)})
+SIGNED_IDS = [-(2**63), -(10**18), -10, -9, -1, 0, 5, 2**63 - 1]
+
+
+def _write_cases():
     for m in (0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3):
-        g = _sparse_graph(4, 1000, m)
+        yield f"sparse ids, {m} edges", _sparse_graph(4, 1000, m)
+    rng = np.random.default_rng(8)
+    # dense ids 0..n-1, as generate-gn writes them
+    for n in (1, 9, 10, 1000):
+        yield f"dense ids, n={n}", from_edges(rng.integers(0, n, 3 * n + 1), rng.integers(0, n, 3 * n + 1), n=n)
+    # longest ids of 7, 8, 15 and 16 characters, the sign counted: the
+    # row width doubles when the longest id and its separator outgrow it
+    widths = [[0, 7, 10**6], [0, 7, 10**7], [-(10**6), 3], [-(10**14), 3], [1, 10**15], [-(10**15), 0]]
+    for ids in (BOUNDARY_IDS, SIGNED_IDS, *widths):
+        n = len(ids)
+        src, dst = rng.integers(0, n, 5 * n), rng.integers(0, n, 5 * n)
+        yield f"ids {ids[0]}..{ids[-1]}", from_edges(src, dst, n=n, original_ids=ids)
+
+
+def test_write_edge_list_bytes_match_reference(tmp_path):
+    for label, g in _write_cases():
         write_edge_list(g, tmp_path / "new.txt")
         _write_edge_list_reference(g, tmp_path / "ref.txt")
-        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), m
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), label
+
+
+def test_write_edge_list_prints_every_id_as_str(tmp_path):
+    ids = BOUNDARY_IDS + SIGNED_IDS[:5]
+    n = len(ids)
+    g = from_edges(np.arange(n), np.arange(n)[::-1], n=n, original_ids=ids)
+    write_edge_list(g, tmp_path / "edges.txt")
+    lines = (tmp_path / "edges.txt").read_text().splitlines()[1:]
+    assert lines == [f"{ids[u]} {ids[n - 1 - u]}" for u in range(n)]
+
+
+def _dense_rule_texts():
+    rng = np.random.default_rng(9)
+    n = 500
+    shuffled = rng.permutation(n)
+    gap = np.delete(np.arange(n + 1), 250)
+    for label, ids in (("0..n-1 shuffled", shuffled), ("1..n", np.arange(1, n + 1)), ("0..n, one gap", gap)):
+        # every id appears at least once, as a source
+        src = np.concatenate([ids, rng.choice(ids, 3 * n)])
+        dst = np.concatenate([rng.choice(ids, n), rng.choice(ids, 3 * n)])
+        yield label, "".join(f"{u} {v}\n" for u, v in zip(src.tolist(), dst.tolist()))
+
+
+@pytest.mark.parametrize("keep_duplicates", [False, True])
+def test_parse_dense_rule_matches_line_loop(keep_duplicates, tmp_path):
+    for label, text in _dense_rule_texts():
+        expected = _outcome(_parse_reference, text, keep_duplicates=keep_duplicates)
+        assert _outcome(parse_edge_list, text, keep_duplicates=keep_duplicates) == expected, label
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        assert _outcome(load_edge_list, path, keep_duplicates=keep_duplicates) == expected, label
 
 
 def test_save_pagerank_bytes_match_reference(tmp_path):

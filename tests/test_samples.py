@@ -1,9 +1,13 @@
-"""Text export of sample arrays: header lines and exact values."""
+"""Text export of sample arrays: header lines and exact values; JSON records."""
+
+import json
+import os
 
 import numpy as np
 import pytest
 
-from prtail.samples import CHUNK_ROWS, save_samples
+from prtail import samples
+from prtail.samples import CHUNK_ROWS, save_samples, write_json
 
 
 def _header(path):
@@ -87,3 +91,27 @@ def test_save_samples_bytes_match_reference(tmp_path, rows, kind):
     save_samples(tmp_path / "new.txt", values, "r", 5, {"alpha": 1.1})
     _save_samples_reference(tmp_path / "ref.txt", values, "r", 5, 1.1)
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+def test_write_json_failing_partway_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    write_json(path, {"run": 1})
+    before = path.read_bytes()
+
+    def dump_then_fail(payload, fh, **kwargs):
+        fh.write('{"run": ')
+        raise OSError("no space left on purpose")
+
+    monkeypatch.setattr(samples.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="on purpose"):
+        write_json(path, {"run": 2})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_write_json_replaces_the_file(tmp_path):
+    path = tmp_path / "record.json"
+    write_json(path, {"b": [1, 2.5], "a": None})
+    write_json(path, {"z": True})
+    assert path.read_text() == json.dumps({"z": True}, indent=2, sort_keys=True) + "\n"
+    assert os.listdir(tmp_path) == ["record.json"]
