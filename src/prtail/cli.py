@@ -12,7 +12,9 @@ file name, compare the parsed c grid), library versions and the files
 written; identical parameters and seed reproduce every output file
 byte for byte. A run that fails after it has made its output directory
 records its error and exit code there too, with the files present as
-its outputs; a pagerank run that does not converge is one of them.
+its outputs; a pagerank run that does not converge is one of them. An
+exception that maps to no exit code (a bug, a KeyboardInterrupt) is
+recorded as "Type: message" with a null exit code, and propagates.
 --out must name a new or an empty directory. Exit codes: 0 success,
 2 parameter error, 3 I/O or parse error, 4 numeric non-convergence.
 """
@@ -32,6 +34,8 @@ import scipy
 from . import __version__
 from .errors import DegenerateFitError, NumericError, ParameterError, ParseError
 from .fixedpoint import (
+    DEFAULT_GENERATIONS,
+    DEFAULT_POOL_SIZE,
     ModelParams,
     check_solve_args,
     final_generation_seed,
@@ -40,6 +44,7 @@ from .fixedpoint import (
 )
 from .graph import (
     DANGLING_POLICIES,
+    DEFAULT_TOL,
     check_pagerank_args,
     load_edge_list,
     pagerank,
@@ -66,8 +71,8 @@ from .theory import factor
 _EXIT_CODES = {ParameterError: 2, DegenerateFitError: 2, ParseError: 3, OSError: 3, NumericError: 4}
 
 
-def _exit_code(exc: Exception) -> int:
-    return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+def _exit_code(exc: BaseException) -> int | None:
+    return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), None)
 
 
 def _versions() -> dict:
@@ -101,10 +106,11 @@ def _run_record(args, **recorded):
     returns the path of the file name there and lists it in the
     manifest written when the block ends.
 
-    A run that fails inside the block with one of _EXIT_CODES' errors
-    writes the manifest with its error and exit code, and with the
-    files present as outputs. An OSError on that write is dropped, so
-    the run's own error and exit code are what it reports.
+    A run that fails inside the block writes the manifest with its
+    error and exit code, and with the files present as outputs; an
+    exception outside _EXIT_CODES is recorded as "Type: message" with a
+    null exit code. The exception then propagates unchanged. An OSError
+    on that write is dropped, so the run's own error is what it reports.
     """
     os.makedirs(args.out, exist_ok=True)
     outputs = ["manifest.json"]
@@ -115,10 +121,13 @@ def _run_record(args, **recorded):
 
     try:
         yield output
-    except tuple(_EXIT_CODES) as exc:
+    except BaseException as exc:
+        code = _exit_code(exc)
+        # main prints a mapped error's message; any other names its type
+        error = str(exc) if code is not None else f"{type(exc).__name__}: {exc}"
         with contextlib.suppress(OSError):
             present = set(os.listdir(args.out)) | {"manifest.json"}
-            _write_manifest(args, present, recorded, error=str(exc), exit_code=_exit_code(exc))
+            _write_manifest(args, present, recorded, error=error, exit_code=code)
         raise
     _write_manifest(args, outputs, recorded)
 
@@ -293,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pagerank", help="PageRank of an edge-list graph")
     p.add_argument("graph", help="edge-list file ('src dst' lines, '#' comments)")
     p.add_argument("--c", type=float, required=True, help="damping factor in (0, 1)")
-    p.add_argument("--tol", type=float, default=1e-10, help="per-node L1 tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="per-node L1 tolerance")
     p.add_argument("--dangling", choices=DANGLING_POLICIES, default="redistribute")
     p.add_argument("--keep-duplicates", action="store_true", help="keep duplicate edges")
     p.add_argument("--xmin-fraction", type=float, default=DEFAULT_TOP_FRACTION)
@@ -304,8 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--d", type=float, default=8.2)
     p.add_argument("--alpha", type=float, default=1.1)
-    p.add_argument("--pool", type=int, default=10**6)
-    p.add_argument("--generations", type=int, default=30)
+    p.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
+    p.add_argument("--generations", type=int, default=DEFAULT_GENERATIONS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--xmin-fraction", type=float, default=DEFAULT_TOP_FRACTION)
     p.add_argument("--out", required=True)
@@ -323,8 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="comma-separated damping values")
     p.add_argument("--d", type=float, default=8.2)
     p.add_argument("--alpha", type=float, default=1.1)
-    p.add_argument("--pool", type=int, default=10**6)
-    p.add_argument("--generations", type=int, default=30)
+    p.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
+    p.add_argument("--generations", type=int, default=DEFAULT_GENERATIONS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)

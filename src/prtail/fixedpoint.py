@@ -99,7 +99,7 @@ import numpy as np
 from . import accel
 from .errors import ParameterError, StateError
 from .rng import check_seed, derive, stream
-from .rvmodel import POISSON_MEAN_MAX, InDegreeModel, pareto_scale_for_mean, tail_spec_for_mean
+from .rvmodel import InDegreeModel, tail_spec_for_mean
 from .samples import write_table
 
 _TAG_PICK = 3  # pool-index stream; tags 1 and 2 belong to the degree model
@@ -146,14 +146,8 @@ class ModelParams:
             raise ParameterError(f"d must exceed 1, got {self.d}")
         if not self.alpha > 1:
             raise ParameterError(f"alpha must exceed 1, got {self.alpha}")
-        # the largest T that TailSpec.sample can return, at u = 2^-53, is
-        # the largest mean the in-degree draw hands to numpy's poisson
-        top = pareto_scale_for_mean(self.alpha, self.d) * (2.0**-53) ** (-1.0 / self.alpha)
-        if not top <= POISSON_MEAN_MAX:
-            raise ParameterError(
-                f"d={self.d!r} and alpha={self.alpha!r} allow draws of T up to {top!r}, "
-                f"above numpy's Poisson limit {POISSON_MEAN_MAX!r}"
-            )
+        # the in-degree model refuses T draws beyond numpy's Poisson limit
+        self.in_degree_model()
 
     def in_degree_model(self) -> InDegreeModel:
         """Pareto in-degree model calibrated so that E N = E T = d."""

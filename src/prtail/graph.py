@@ -26,7 +26,8 @@ from .samples import write_id_pairs, write_table
 
 DANGLING_POLICIES = ("redistribute", "drop")
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 1000
+# power-iteration sweeps before pagerank reports non-convergence
+MAX_ITER = 1000
 _MAX_ID = np.iinfo(np.int64).max
 _PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
 
@@ -171,10 +172,11 @@ def _graph_from_ids(raw_src, raw_dst, keep_duplicates: bool) -> DirectedGraph:
     else:
         src = np.searchsorted(original_ids, raw_src)
         dst = np.searchsorted(original_ids, raw_dst)
-    if not keep_duplicates:
-        keys = _sorted_unique(src * np.int64(n) + dst)
-        src, dst = keys // n, keys % n
-    return from_edges(src, dst, n=n, original_ids=original_ids)
+    if keep_duplicates:
+        return from_edges(src, dst, n=n, original_ids=original_ids)
+    # the unique keys come sorted, so the edges are in (src, dst) order
+    keys = _sorted_unique(src * np.int64(n) + dst)
+    return DirectedGraph(n, keys // n, keys % n, original_ids)
 
 
 def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
@@ -200,29 +202,31 @@ def load_edge_list(path, keep_duplicates: bool = False) -> DirectedGraph:
     """parse_edge_list of a file, read as a text-mode file reads it:
     lines end at "\n", "\r\n" or a lone "\r".
 
-    The file is read as bytes, and np.loadtxt reads them when they pass
-    the plainness and inline-'#' checks. Otherwise the file is read
-    again in text mode for the line loop, which raises ParseError on a
-    file that does not decode."""
+    The file is read once, as bytes, and np.loadtxt reads them when
+    they pass the plainness and inline-'#' checks. Otherwise the line
+    loop reads the same bytes decoded as a text-mode file decodes them,
+    and a file that does not decode raises ParseError."""
     with open(path, "rb") as fh:
-        columns = _table_columns(fh.read())
+        data = fh.read()
+    columns = _table_columns(data)
     if columns is None:
-        with open(path) as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"not a text file: {exc}") from None
+        try:
+            text = io.TextIOWrapper(io.BytesIO(data)).read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not a text file: {exc}") from None
         # StringIO, like the file, breaks lines at "\n" alone, where
         # str.splitlines would also break them at "\x0c", "\x85" and others
         columns = _line_columns(io.StringIO(text))
+    # the file's bytes go before the graph is built, which sets the peak
+    del data
     return _graph_from_ids(*columns, keep_duplicates)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Edge lines "u v" under original ids, in (src, dst) order, below
     a header line; parse_edge_list round-trips it. Each node's id is
-    formatted once into samples' digit table, and each chunk of lines
-    is gathered from it as bytes (samples.write_id_pairs)."""
+    formatted once into a NUL-padded bytes table, and each chunk of
+    lines is gathered from it (samples.write_id_pairs)."""
     head = f"# directed edge list: {g.n} nodes, {g.m} edges\n"
     write_id_pairs(path, head, g.original_ids, g.src, g.dst)
 
@@ -238,33 +242,23 @@ class PageRankVector:
     converged: bool
 
 
-def check_pagerank_args(
-    c: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    dangling: str = "redistribute",
-) -> None:
+def check_pagerank_args(c: float, tol: float = DEFAULT_TOL, dangling: str = "redistribute") -> None:
     """Raise ParameterError unless pagerank accepts these settings."""
     if not 0 < c < 1:
         raise ParameterError(f"c must lie in (0, 1), got {c}")
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if dangling not in DANGLING_POLICIES:
         raise ParameterError(f"dangling must be one of {DANGLING_POLICIES}, got {dangling!r}")
 
 
 def pagerank(
-    g: DirectedGraph,
-    c: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    dangling: str = "redistribute",
+    g: DirectedGraph, c: float, tol: float = DEFAULT_TOL, dangling: str = "redistribute"
 ) -> PageRankVector:
     """Power iteration from PR = 1; stops when the total L1 change is
-    at most tol * n (tol is a per-node tolerance)."""
-    check_pagerank_args(c, tol, max_iter, dangling)
+    at most tol * n (tol is a per-node tolerance), or unconverged after
+    MAX_ITER sweeps."""
+    check_pagerank_args(c, tol, dangling)
     n = g.n
     out_degree = g.out_degree
     inv_out = np.zeros(n)
@@ -275,7 +269,7 @@ def pagerank(
     iterations = 0
     residual = np.inf
     converged = False
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         iterations += 1
         nxt = c * accel.edge_push(g.src, g.dst, pr * inv_out, n) + (1.0 - c)
         if dangling == "redistribute" and dangling_idx.size:

@@ -74,6 +74,16 @@ class InDegreeModel:
 
     tail: TailSpec
 
+    def __post_init__(self):
+        # the largest T that TailSpec.sample can return, at u = 2^-53, is
+        # the largest mean sample hands to numpy's poisson
+        top = self.tail.x_scale * (2.0**-53) ** (-1.0 / self.tail.alpha)
+        if not top <= POISSON_MEAN_MAX:
+            raise ParameterError(
+                f"x_scale={self.tail.x_scale!r} and alpha={self.tail.alpha!r} allow draws "
+                f"of T up to {top!r}, above numpy's Poisson limit {POISSON_MEAN_MAX!r}"
+            )
+
     def sample(self, n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
         """n counts, deterministic given seed, in out (a new int64
         array when out is None), which is returned. T and the counts

@@ -2,9 +2,9 @@
 KS diagnostics, compare rows) go through write_table, one printf-style
 row format per file ("%r\n", "%r,%r\n", "%d %r\n", ...); edge lists
 through write_id_pairs, which formats each node's id once into a
-table of ASCII digits and gathers each chunk's lines from it as bytes;
-and JSON records (manifests, tail fits, offsets) through write_json,
-which replaces its file whole."""
+NUL-padded bytes table and gathers each chunk's lines from it; and
+JSON records (manifests, tail fits, offsets) through write_json, which
+replaces its file whole."""
 
 from __future__ import annotations
 
@@ -20,11 +20,11 @@ import numpy as np
 CHUNK_ROWS = 1 << 16
 
 
-def write_table(path, head: str, fmt: str, *columns, convert=None) -> None:
+def write_table(path, head: str, fmt: str, *columns) -> None:
     """Write head, then fmt % (that index's values) for each index of
-    the equal-length array columns. Values are Python scalars (tolist),
-    passed through convert first where it is given: %r of a float is
-    its shortest round-trip repr, and %d of an int64 id stays exact.
+    the equal-length array columns. Values are Python scalars (tolist):
+    %r of a float is its shortest round-trip repr, and %d of an int64
+    id stays exact.
 
     Each CHUNK_ROWS-row chunk is formatted by one call,
     (fmt * k) % values, with the k rows' values interleaved, and written
@@ -34,8 +34,6 @@ def write_table(path, head: str, fmt: str, *columns, convert=None) -> None:
         fh.write(head)
         for start in range(0, len(columns[0]), CHUNK_ROWS):
             chunk = [column[start : start + CHUNK_ROWS].tolist() for column in columns]
-            if convert is not None:
-                chunk = [list(map(convert, column)) for column in chunk]
             k = len(chunk[0])
             values = [None] * (k * width)
             for i, column in enumerate(chunk):
@@ -43,68 +41,38 @@ def write_table(path, head: str, fmt: str, *columns, convert=None) -> None:
             fh.write((fmt * k) % tuple(values))
 
 
-# 10**1 .. 10**19: an int64's magnitude has one digit more than the
-# number of these it reaches
-_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
-
-
-def _digit_table(ids: np.ndarray):
-    """(digits, held): row i of the uint8 array digits holds str(ids[i])
-    in ASCII, right-aligned before the row's last byte, which is left
-    for a separator; the bool array held marks the bytes that str holds
-    and each row's last byte. Rows are 8, 16 or 32 bytes wide, sizes
-    that np.take copies as one item."""
-    ids = np.asarray(ids, dtype=np.int64)
-    negative = ids < 0
-    # magnitudes in uint64, where -2**63 has one too
-    rest = ids.astype(np.uint64)
-    np.negative(rest, out=rest, where=negative)
-    length = np.searchsorted(_POWERS_OF_TEN, rest, side="right") + 1
-    length += negative
-    longest = int(length.max())
-    width = 8
-    while width <= longest:
-        width *= 2
-    digits = np.zeros((ids.size, width), dtype=np.uint8)
-    for column in range(width - 2, width - 2 - longest, -1):
-        digits[:, column] = rest % 10
-        rest //= 10
-    digits += ord("0")
-    first = width - 1 - length
-    digits[negative, first[negative]] = ord("-")
-    return digits, np.arange(width) >= first[:, None]
-
-
 def write_id_pairs(path, head: str, ids: np.ndarray, first: np.ndarray, second: np.ndarray) -> None:
     """Write head, then the line f"{ids[i]} {ids[j]}\n" for each pair
     (i, j) of the equal-length index arrays first and second.
 
-    Each id is formatted once, into a row of _digit_table. A chunk of
+    Each id is formatted once, by numpy's cast to bytes (the digits str
+    gives), into an S8, S16 or S32 table that pads it with NULs: the
+    narrowest whose rows keep at least their last byte free. A chunk of
     CHUNK_ROWS pairs gathers its rows, first and second interleaved, by
-    one np.take of whole rows into a byte buffer; the space and the
-    newline go in the rows' last bytes, and the bytes that str holds
-    are written as one block."""
-    digits, held = _digit_table(ids)
-    width = digits.shape[1]
-    item = np.dtype(f"V{width}")
-    digits, held = digits.view(item).ravel(), held.view(item).ravel()
+    one np.take into a line buffer, puts the space or the newline in
+    each row's last byte, and is written with its NULs deleted."""
+    ids = np.asarray(ids, dtype=np.int64)
+    # the longest id is the largest or the most negative one
+    longest = max(len(str(ids.max())), len(str(ids.min())))
+    width = 8
+    while width <= longest:
+        width *= 2
+    table = ids.astype(f"S{width}")
     rows = 2 * min(len(first), CHUNK_ROWS)
     index = np.empty(rows, dtype=np.int64)
-    line = np.empty((rows, width), dtype=np.uint8)
-    keep = np.empty((rows, width), dtype=bool)
-    # one item per row, over the same memory
-    line_items, keep_items = line.view(item).reshape(rows), keep.view(item).reshape(rows)
+    line = np.empty(rows, dtype=table.dtype)
+    # each row's last byte, over the same memory
+    ends = line.view(np.uint8).reshape(rows, width)[:, -1]
     with open(path, "wb") as fh:
         fh.write(head.encode())
         for start in range(0, len(first), CHUNK_ROWS):
             k = 2 * min(CHUNK_ROWS, len(first) - start)
             index[0:k:2] = first[start : start + k // 2]
             index[1:k:2] = second[start : start + k // 2]
-            np.take(digits, index[:k], out=line_items[:k])
-            np.take(held, index[:k], out=keep_items[:k])
-            line[0:k:2, -1] = ord(" ")
-            line[1:k:2, -1] = ord("\n")
-            fh.write(line[:k][keep[:k]])
+            np.take(table, index[:k], out=line[:k])
+            ends[0:k:2] = ord(" ")
+            ends[1:k:2] = ord("\n")
+            fh.write(line[:k].tobytes().translate(None, b"\0"))
 
 
 def write_json(path, payload: dict) -> None:

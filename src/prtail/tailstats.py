@@ -16,7 +16,8 @@ import numpy as np
 from .errors import DegenerateFitError, ParameterError
 from .samples import write_json, write_table
 
-DEFAULT_QUANTILE_BAND = (0.99, 0.9999)
+# quantile levels of log_ccdf_offset's band, 0 < lo < hi < 1
+QUANTILE_BAND = (0.99, 0.9999)
 DEFAULT_TOP_FRACTION = 0.1
 # thin_ccdf keeps at most about this many rows per decade of x and of p
 ROWS_PER_DECADE = 100
@@ -122,14 +123,9 @@ def save_ccdf_loglog(table: CcdfTable, path) -> None:
     """Whitespace-separated math.log10 of the table's x and p, one row
     per row of the table with x > 0; rows with x <= 0 are dropped."""
     keep = table.x > 0
-    write_table(
-        path,
-        "# log10_x log10_p\n",
-        "%r %r\n",
-        table.x[keep],
-        table.p[keep],
-        convert=math.log10,
-    )
+    # math.log10, not np.log10, whose last bit can differ
+    columns = [np.array(list(map(math.log10, column[keep].tolist()))) for column in (table.x, table.p)]
+    write_table(path, "# log10_x log10_p\n", "%r %r\n", *columns)
 
 
 @dataclass(frozen=True)
@@ -220,23 +216,21 @@ def save_tail_fit(fit: TailFit, path) -> None:
     )
 
 
-def log_ccdf_offset(a: CcdfTable, b: CcdfTable, quantile_band=DEFAULT_QUANTILE_BAND) -> float:
+def log_ccdf_offset(a: CcdfTable, b: CcdfTable) -> float:
     """Mean vertical gap log10 p_a - log10 p_b over a shared tail band.
 
-    The band is taken at the given quantile levels of the heavier
+    The band is taken at the QUANTILE_BAND levels of the heavier
     table (the one reaching further at the band's upper level) and
     intersected with both supports; the gap is averaged over a
     log-spaced grid with linear interpolation in log-log coordinates.
     """
-    lo, hi = quantile_band
-    if not (0 < lo < hi < 1):
-        raise ParameterError(f"quantile band must satisfy 0 < lo < hi < 1, got {quantile_band}")
+    lo, hi = QUANTILE_BAND
     heavy = a if a.quantile(hi) >= b.quantile(hi) else b
     x_lo = max(heavy.quantile(lo), float(a.x[0]), float(b.x[0]))
     x_hi = min(heavy.quantile(hi), float(a.x[-1]), float(b.x[-1]))
     if not x_lo < x_hi:
         raise ParameterError(
-            f"CCDF supports do not overlap inside the quantile band {quantile_band}"
+            f"CCDF supports do not overlap inside the quantile band {QUANTILE_BAND}"
         )
     if x_lo <= 0:
         raise ParameterError("log offset band requires positive support")

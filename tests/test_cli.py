@@ -242,6 +242,30 @@ def test_failed_run_records_its_error(tmp_path, monkeypatch, capsys, error, code
     assert manifest["parameters"] == MANIFESTS["model"][0] | {"c": 0.5, "pool": 1000, "seed": 1}
 
 
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_unmapped_failure_is_recorded_and_raised(tmp_path, monkeypatch, error):
+    # a bug or an interrupt has no exit code: the record says so, and
+    # the exception reaches the caller unchanged
+    real = cli.save_samples
+    raised = error("stopped on purpose")
+
+    def failing_n_sample(path, *args):
+        if os.path.basename(path) == "n_samples.txt":
+            raise raised
+        real(path, *args)
+
+    monkeypatch.setattr(cli, "save_samples", failing_n_sample)
+    out = tmp_path / "out"
+    argv = ["model", "--c", "0.5", "--pool", "1000", "--generations", "2", "--seed", "1"]
+    with pytest.raises(error) as caught:
+        main(argv + ["--out", str(out)])
+    assert caught.value is raised
+    manifest = read_manifest(out)
+    assert manifest["error"] == f"{error.__name__}: stopped on purpose"
+    assert manifest["exit_code"] is None
+    assert manifest["outputs"] == sorted(os.listdir(out)) == ["manifest.json", "r_samples.txt"]
+
+
 def test_failed_record_keeps_the_run_error(tmp_path, monkeypatch, capsys):
     # a full disk fails the record too: the run still reports its own error
     def failing(name):

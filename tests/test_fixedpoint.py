@@ -20,7 +20,7 @@ from prtail.fixedpoint import (
     solve_r,
 )
 from prtail.rng import stream
-from prtail.rvmodel import InDegreeModel
+from prtail.rvmodel import InDegreeModel, TailSpec
 from prtail.tailstats import fit_tail_fraction
 
 from models import ConstantInDegree, PoissonInDegree
@@ -86,6 +86,11 @@ def test_model_params_reject_t_draws_beyond_the_poisson_limit():
     ):
         with pytest.raises(ParameterError, match="Poisson limit"):
             ModelParams(**bad)
+    # the rule lives in the model that hands T to poisson
+    scale = (alpha - 1.0) / alpha
+    InDegreeModel(TailSpec(alpha=alpha, x_scale=below * scale))
+    with pytest.raises(ParameterError, match="Poisson limit"):
+        InDegreeModel(TailSpec(alpha=alpha, x_scale=above * scale))
 
 
 def test_degenerate_in_degree_keeps_pool_at_one():

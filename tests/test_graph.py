@@ -179,6 +179,22 @@ def test_load_matches_line_loop_over_file(text, tmp_path):
     assert _outcome(load_edge_list, path) == expected
 
 
+def test_load_reads_its_file_once(tmp_path, monkeypatch):
+    # lone CRs send the file past loadtxt to the line loop
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"0 1\r2 3\r")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "open", counting_open, raising=False)
+    g = load_edge_list(path)
+    assert opened == [path]
+    assert g.original_ids.tolist() == [0, 1, 2, 3]
+
+
 def test_load_undecodable_file_is_parse_error(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_bytes(b"0 1\n\xff\xfe 2\n")
@@ -322,7 +338,7 @@ def test_pagerank_floor_and_drop_mode_mass():
 
 def test_pagerank_parameter_validation():
     g = parse_edge_list("0 1\n1 0\n")
-    for kwargs in (dict(c=0.0), dict(c=1.0), dict(c=0.5, tol=0.0), dict(c=0.5, max_iter=0)):
+    for kwargs in (dict(c=0.0), dict(c=1.0), dict(c=0.5, tol=0.0)):
         with pytest.raises(ParameterError):
             pagerank(g, **kwargs)
     with pytest.raises(ParameterError):
@@ -331,9 +347,9 @@ def test_pagerank_parameter_validation():
 
 def test_pagerank_non_convergence_reported():
     g = parse_edge_list("1 0\n2 0\n3 0\n0 1\n")
-    pv = pagerank(g, c=0.99, tol=1e-15, max_iter=2)
+    pv = pagerank(g, c=0.99, tol=1e-15)
     assert not pv.converged
-    assert pv.iterations == 2
+    assert pv.iterations == graph_module.MAX_ITER
     assert pv.residual > 0.0
 
 

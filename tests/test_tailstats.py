@@ -217,7 +217,7 @@ def test_log_ccdf_offset_disjoint_supports():
     a = CcdfTable(x=np.array([1.0, 2.0]), p=np.array([1.0, 0.5]))
     b = CcdfTable(x=np.array([100.0, 200.0]), p=np.array([1.0, 0.5]))
     with pytest.raises(ParameterError):
-        log_ccdf_offset(a, b, quantile_band=(0.2, 0.4))
+        log_ccdf_offset(a, b)
 
 
 def test_save_ccdf_round_trip_text(tmp_path):
