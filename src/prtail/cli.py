@@ -165,12 +165,13 @@ def _predicted_log10_y(grid: list) -> list:
     return [math.log10(factor(p.c, p.d, p.alpha)) for p in grid]
 
 
-def _run_model(grid: list, pool: int, generations: int, seed: int):
+def _run_model(grid: list, pool: int, generations: int, seed: int, *, history: bool):
     """Solve for R at every c of the grid from one set of draws, and
     draw the grid's reference N(T) sample once; returns (N sample, its
-    CCDF table, one solve result per c)."""
+    CCDF table, one solve result per c). history is solve_r's: whether
+    the results keep every generation's diagnostics row or the last."""
     model = grid[0].in_degree_model()
-    results = solve_r(grid, model, pool_size=pool, generations=generations, seed=seed)
+    results = solve_r(grid, model, pool_size=pool, generations=generations, seed=seed, history=history)
     # reference N(T) draws reuse the final generation's degree stream so
     # the offset comparison cancels shared extreme-draw noise
     n_values = model.sample(pool, final_generation_seed(seed, generations))
@@ -200,7 +201,9 @@ def cmd_model(args) -> int:
     check_top_fraction(args.xmin_fraction)
     [log10_y] = _predicted_log10_y([params])
     with _run_record(args) as output:
-        n_values, n_table, [result] = _run_model([params], args.pool, args.generations, args.seed)
+        n_values, n_table, [result] = _run_model(
+            [params], args.pool, args.generations, args.seed, history=True
+        )
         r_table = ccdf(result.values)
         observed = _observed_offset(r_table, n_table)
         save_samples(
@@ -276,8 +279,11 @@ def cmd_compare(args) -> int:
     check_solve_args(args.pool, args.generations, args.seed)
     predicted = numpy.array(_predicted_log10_y(grid_params))
     with _run_record(args, c=c_grid) as output:
-        # the N sample and each R table are dropped once they have served
-        n_table, results = _run_model(grid_params, args.pool, args.generations, args.seed)[1:]
+        # the N sample and each R table are dropped once they have served;
+        # compare writes no diagnostics, so only the last row is taken
+        n_table, results = _run_model(
+            grid_params, args.pool, args.generations, args.seed, history=False
+        )[1:]
         offsets = [_observed_offset(ccdf(result.values), n_table) for result in results]
         observed = numpy.array([math.nan if o is None else o for o in offsets])
         write_table(
@@ -289,6 +295,9 @@ def cmd_compare(args) -> int:
             observed,
             observed - predicted,
         )
+    for c, result in zip(c_grid, results):
+        if not result.converged:
+            print(f"warning: c={c!r}: final KS distance {result.ks_final!r} above threshold", file=sys.stderr)
     return 0
 
 

@@ -41,6 +41,8 @@ draws, the seam search and segment_sums, through iterate_generation.
 The helper does what the sums do not wait for: while generation g is
 summed, it takes the diagnostics rows of generation g-1, then draws
 the counts of generation g+1 (model.sample and their running ends).
+A solve without history (see solve_r) takes only the rows of the
+last generation, after its sums; the helper then only draws.
 numpy and the compiled sum loop let go of the GIL in the sums, the
 sorts, the searches and the draws, so on two CPUs the threads compute
 at once; on one they take turns. Before summing generation g the main
@@ -85,8 +87,11 @@ Memory, in pool-sized arrays for a grid of C values of c: while
 generation g is summed and the rows of g-1 are taken, the C pools of
 g-1, the C arrays of sums, the C pools of g-2 and the two buffers,
 3C + 2; then the helper drops generation g-2 and draws the next
-counts into its buffer beside 2C + 2 of them. The chunk and block
-temporaries of both threads, a few MiB, come on top.
+counts into its buffer beside 2C + 2 of them. Without history no row
+reads generation g-2, so the main thread drops it before it makes
+the sums of g, and the solve holds 2C + 2 throughout; the helper
+then no longer sorts 2C pools every generation either. The chunk and
+block temporaries of both threads, a few MiB, come on top.
 """
 
 from __future__ import annotations
@@ -377,6 +382,7 @@ def solve_r(
     pool_size: int = DEFAULT_POOL_SIZE,
     generations: int = DEFAULT_GENERATIONS,
     seed: int = 0,
+    history: bool = True,
 ) -> list:
     """Iterate one pool per ModelParams of the grid to distributional
     convergence; returns one SolveResult per grid entry, in order.
@@ -387,10 +393,14 @@ def solve_r(
     which writes the counts into the int64 array out. Each result
     carries one diagnostics row per generation (mean, KS distance to
     the previous generation, top-10 values so heavy-tail resampling
-    stays auditable). A final KS above KS_THRESHOLD only clears the
-    converged flag; the final pool is still returned. The pools start
-    from R = 1 identically: the exact mean, and the exact solution
-    when N = d is deterministic.
+    stays auditable). With history=False each result carries only
+    the last generation's row, the one that converged and ks_final
+    read, and the solve holds 2C + 2 pool-sized arrays in place of
+    3C + 2 for a grid of C (see the module docstring); the pools and
+    that row are the same, bit for bit, as with history. A final KS
+    above KS_THRESHOLD only clears the converged flag; the final pool
+    is still returned. The pools start from R = 1 identically: the
+    exact mean, and the exact solution when N = d is deterministic.
 
     The helper thread is the one worker of an executor that the call
     makes; whether it returns or raises, no thread of it is left
@@ -415,15 +425,16 @@ def solve_r(
     try:
         counts = helper.submit(_running_ends, model, pool_size, seeds[0], buffers[1])
         for g, gen_seed in enumerate(seeds, 1):
-            if g > 2:
+            if rows:
                 rows[-1].result()  # generation g-2
             ends = counts.result()
             spare = buffers[(g + 1) % 2]  # generation g-1's ends, summed
-            if g > 1:
+            if history and g > 1:
                 rows.append(helper.submit(_diagnose, g - 1, pools, older, spare))
             if g < generations:
                 counts = helper.submit(_running_ends, model, pool_size, seeds[g], spare)
-            # generation g-2 is the helper's alone from here
+            # generation g-2 is the helper's alone from here; without
+            # its row, this drops it before the sums are allocated
             older = pools
             pools = iterate_generation(older, grid, ends, gen_seed)
         rows.append(helper.submit(_diagnose, generations, pools, older, ends))

@@ -163,7 +163,17 @@ def _line_columns(lines):
 
 def _graph_from_ids(raw_src, raw_dst, keep_duplicates: bool) -> DirectedGraph:
     """Graph of parsed edges, whose ids are all nonnegative."""
-    original_ids = _sorted_unique(np.concatenate([raw_src, raw_dst]))
+    bound = raw_src.size + raw_dst.size
+    if max(raw_src.max(), raw_dst.max()) < bound:
+        # ids below the endpoint count, as generate-gn writes them: a
+        # presence table lists the distinct ones in order without a sort
+        seen = np.zeros(bound, dtype=bool)
+        seen[raw_src] = True
+        seen[raw_dst] = True
+        original_ids = np.flatnonzero(seen)
+        del seen
+    else:
+        original_ids = _sorted_unique(np.concatenate([raw_src, raw_dst]))
     n = original_ids.size
     # n distinct nonnegative ids up to n - 1 are exactly 0..n-1, which
     # are their own dense ids: searchsorted would return them unchanged

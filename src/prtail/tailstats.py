@@ -71,20 +71,56 @@ class CcdfTable:
 
         Rows at x <= 0 (a zero-count atom, typically) cannot appear on
         a log axis and are excluded, exactly as in the log-log export.
+        Only the rows from the one at or below the lowest grid point
+        up to the first whose log10 lies above that of the highest are
+        taken to log10 (several rows of x can round onto one log10):
+        np.interp finds the same pair of rows around each point in them
+        as in every positive row, and returns the same doubles.
         """
-        keep = self.x > 0
-        if not keep.any():
+        start = int(np.searchsorted(self.x, 0.0, side="right"))
+        if start == self.size:
             raise ParameterError("log-log interpolation requires positive support")
-        return np.interp(np.log10(x_grid), np.log10(self.x[keep]), np.log10(self.p[keep]))
+        x_grid = np.asarray(x_grid, dtype=float)
+        log_grid = np.log10(x_grid)
+        # rows at or below each point; log10 never decreases, so row
+        # rank - 1 lies at or below the point in log space too
+        rank = np.searchsorted(self.x, x_grid, side="right")
+        lo = max(int(rank.min(initial=self.size)) - 1, start)
+        hi = max(int(rank.max(initial=0)) + 1, lo + 1)
+        top = log_grid.max(initial=-np.inf)
+        while True:
+            hi = min(hi, self.size)
+            log_x = np.log10(self.x[lo:hi])
+            if hi == self.size or log_x[-1] > top:
+                break
+            hi += hi - lo
+        return np.interp(log_grid, log_x, np.log10(self.p[lo:hi]))
 
 
 def ccdf(samples) -> CcdfTable:
-    """Empirical CCDF table at the distinct sample values."""
-    values = _values(samples)
-    if values.size == 0:
+    """Empirical CCDF table at the distinct sample values. Beside the
+    table it holds one sorted copy of the samples, dropped once x is
+    taken, and the runs' starts."""
+    values = np.sort(_values(samples))
+    n = values.size
+    if n == 0:
         raise ParameterError("cannot build a CCDF from an empty sample")
-    x, counts = np.unique(values, return_counts=True)
-    p = counts[::-1].cumsum()[::-1] / values.size
+    # the sort puts NaN last; NaN equals nothing, so no run of it is found
+    if np.isnan(values[-1]):
+        raise ParameterError("cannot build a CCDF from NaN samples")
+    # each run of equal values starts where it differs from the one before
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    x = values[starts]
+    del values
+    # n - start values lie at or above a run's start: np.unique's counts
+    # summed from the top, exact as doubles, then divided by n
+    p = np.subtract(n, starts, dtype=float)
+    del starts
+    p /= n
     return CcdfTable(x=x, p=p)
 
 
@@ -109,7 +145,12 @@ def _log_cells(v: np.ndarray) -> np.ndarray:
     """floor(ROWS_PER_DECADE * log10 v), and -inf where v <= 0."""
     cells = np.full(v.shape, -np.inf)
     positive = v > 0
-    cells[positive] = np.floor(ROWS_PER_DECADE * np.log10(v[positive]))
+    # in place on the one compacted copy; a where= mask could take another
+    # log10 loop, whose last bit may differ
+    logs = v[positive]
+    np.log10(logs, out=logs)
+    logs *= ROWS_PER_DECADE
+    cells[positive] = np.floor(logs, out=logs)
     return cells
 
 

@@ -59,7 +59,7 @@ def run_c085():
     t0 = time.perf_counter()
     params = ModelParams(c=0.85, d=8.0, alpha=1.1)
     model = params.in_degree_model()
-    [res] = solve_r([params], model, pool_size=POOL, generations=GENERATIONS, seed=SEED)
+    [res] = solve_r([params], model, pool_size=POOL, generations=GENERATIONS, seed=SEED, history=False)
     n_counts = model.sample(POOL, final_generation_seed(SEED, GENERATIONS))
     return params, res, n_counts, time.perf_counter() - t0
 
@@ -73,7 +73,7 @@ def runs_d82():
     t0 = time.perf_counter()
     grid = [ModelParams(c=c, d=8.2, alpha=1.1) for c in (0.1, 0.5, 0.9)]
     model = grid[0].in_degree_model()
-    results = solve_r(grid, model, pool_size=POOL, generations=GENERATIONS, seed=SEED)
+    results = solve_r(grid, model, pool_size=POOL, generations=GENERATIONS, seed=SEED, history=False)
     n_counts = model.sample(POOL, final_generation_seed(SEED, GENERATIONS))
     runs = {params.c: (params, res, n_counts) for params, res in zip(grid, results)}
     return runs, time.perf_counter() - t0

@@ -539,6 +539,20 @@ def test_compare_near_boundary_damping_completes(tmp_path):
     assert np.isfinite(float(row[1]))
 
 
+def test_compare_warns_on_a_c_that_did_not_converge(tmp_path, capsys):
+    # two generations at pool 1000 leave c = 0.99 far from its fixed point
+    params = ModelParams(c=0.99, d=8.2, alpha=1.1)
+    [result] = solve_r([params], params.in_degree_model(), pool_size=1000, generations=2, seed=0)
+    assert result.ks_final > KS_THRESHOLD
+    rc = main(
+        ["compare", "--c", "0.99", "--pool", "1000", "--generations", "2", "--seed", "0",
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 0
+    warning = f"warning: c=0.99: final KS distance {result.ks_final!r} above threshold"
+    assert capsys.readouterr().err.splitlines() == [warning]
+
+
 def test_compare_empty_grid_is_parameter_error(tmp_path):
     rc = main(["compare", "--c", " , ", "--pool", "1000", "--out", str(tmp_path / "o")])
     assert rc == 2

@@ -258,6 +258,17 @@ def test_grid_solve_matches_single_c_solves(monkeypatch, single_c_solves, chunk)
     assert not np.array_equal(together[0].values, together[2].values)
 
 
+def test_solve_without_history_keeps_the_pools_and_the_last_row():
+    model = GRID[0].in_degree_model()
+    fulls = solve_r(GRID, model, pool_size=2000, generations=4, seed=17)
+    results = solve_r(GRID, model, pool_size=2000, generations=4, seed=17, history=False)
+    for result, full in zip(results, fulls):
+        assert np.array_equal(result.values, full.values)
+        assert result.diagnostics == full.diagnostics[-1:]
+        assert result.ks_final == full.ks_final
+        assert result.converged == full.converged
+
+
 def test_grid_must_share_d_and_alpha():
     model = ModelParams(c=0.5, d=8.2, alpha=1.1).in_degree_model()
     for other in (ModelParams(c=0.9, d=8.0, alpha=1.1), ModelParams(c=0.9, d=8.2, alpha=1.5)):
@@ -364,6 +375,14 @@ def test_solve_reraises_a_failed_draw(fail_at):
     assert model.calls == fail_at
 
 
+@pytest.mark.parametrize("fail_at", [1, 3])
+def test_solve_without_history_reraises_a_failed_draw(fail_at):
+    model = _FailingModel(GRID[0].in_degree_model(), fail_at)
+    _assert_fails_cleanly(ParameterError, "on purpose", GRID, model, pool_size=2000, generations=4, seed=17,
+                          history=False)
+    assert model.calls == fail_at
+
+
 def test_solve_reraises_the_ks_rejection_of_a_nan_pool(monkeypatch):
     segment_sums = accel.segment_sums
 
@@ -441,10 +460,10 @@ def test_ks_distance_memory_is_bounded():
     assert _peak_bytes(ks_distance, a, b) < 2**20
 
 
-def _solve_peak_bytes(grid, pool_size):
+def _solve_peak_bytes(grid, pool_size, history=True):
     model = grid[0].in_degree_model()
     solve_r(grid[:1], model, pool_size=1000, generations=1, seed=1)  # first-call set-up off the books
-    return _peak_bytes(solve_r, grid, model, pool_size, 3, 7)
+    return _peak_bytes(solve_r, grid, model, pool_size, 3, 7, history)
 
 
 def test_solve_memory_is_within_the_serial_budget():
@@ -458,6 +477,16 @@ def test_solve_memory_is_within_the_serial_budget():
     # 1 MiB, outweigh the one pool array the overlap saves.
     assert _solve_peak_bytes(GRID[:1], 10**5) <= 6_404_855
     assert _solve_peak_bytes(GRID, 3 * 10**5) <= 28_803_441
+
+
+def test_solve_without_history_holds_2c_plus_2_pool_arrays():
+    # no row reads generation g-2, so it is dropped before the sums of
+    # g are made: the C pools of g-1, the C sums and the two buffers,
+    # plus at most 2 MiB of chunk and block temporaries. With every
+    # row the same solve read 27,149,411 B, about 3C + 2 arrays.
+    pool_size = 3 * 10**5
+    budget = (2 * len(GRID) + 2) * 8 * pool_size + 2 * 2**20
+    assert _solve_peak_bytes(GRID, pool_size, history=False) <= budget
 
 
 def test_ks_distance_hand_values():

@@ -230,6 +230,25 @@ def test_parse_remaps_sparse_ids():
     assert np.array_equal(g.dst, [1, 2, 2])
 
 
+@pytest.mark.parametrize("above", [0, 1, 2])
+def test_distinct_ids_match_unique_either_side_of_the_bound(monkeypatch, above):
+    # ids below the endpoint count go through a presence table, any
+    # larger one through the sort: the largest id here is bound - 1,
+    # exactly the bound, or one past it
+    rng = np.random.default_rng(10)
+    src, dst = rng.integers(0, 30, 20), rng.integers(0, 30, 20)
+    bound = src.size + dst.size
+    dst[7] = bound - 1 + above
+    sorts = []
+    sorted_unique = graph_module._sorted_unique
+    monkeypatch.setattr(graph_module, "_sorted_unique", lambda v: sorts.append(1) or sorted_unique(v))
+    g = graph_module._graph_from_ids(src, dst, keep_duplicates=True)
+    expected = np.unique(np.concatenate([src, dst]))
+    assert g.original_ids.dtype == expected.dtype
+    assert np.array_equal(g.original_ids, expected)
+    assert len(sorts) == (above > 0)
+
+
 def test_parse_collapses_duplicates_by_default():
     g = parse_edge_list("0 1\n0 1\n1 0\n")
     assert g.m == 2

@@ -94,6 +94,75 @@ def test_ccdf_first_point_is_total_mass():
     assert np.all(np.diff(table.p) < 0)
 
 
+def _ccdf_reference(values):
+    """ccdf through np.unique's counts, summed from the top."""
+    values = np.asarray(values, dtype=float)
+    x, counts = np.unique(values, return_counts=True)
+    return x, counts[::-1].cumsum()[::-1] / values.size
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [5.0],
+        [3.0, 3.0, 3.0],
+        [0.0, -0.0, 1.0, 0.0, 1.0],
+        [-2.0, 7.0, -2.0, 0.0, -1.5, 7.0, 0.0, 7.0],
+        np.round(np.random.default_rng(3).standard_normal(10_000), 1),
+        np.random.default_rng(4).pareto(1.1, 10_000),
+    ],
+)
+def test_ccdf_matches_unique_counts(values):
+    # the same doubles, down to the sign of a zero
+    table = ccdf(values)
+    x, p = _ccdf_reference(values)
+    assert table.x.tobytes() == x.tobytes()
+    assert table.p.tobytes() == p.tobytes()
+
+
+def test_ccdf_rejects_nan():
+    with pytest.raises(ParameterError, match="NaN"):
+        ccdf(np.array([1.0, np.nan, 2.0]))
+
+
+def _log_interp_reference(table, x_grid):
+    """log_interp over every positive row of the table."""
+    keep = table.x > 0
+    return np.interp(np.log10(x_grid), np.log10(table.x[keep]), np.log10(table.p[keep]))
+
+
+def test_log_interp_matches_the_full_table():
+    rng = np.random.default_rng(5)
+    # an atom at 0 and a negative row, then a heavy tail with ties
+    table = ccdf(np.concatenate([[0.0, 0.0, -1.0], np.round(1.0 + rng.pareto(1.1, 10_000), 2)]))
+    x = table.x[table.x > 0]
+    grids = [
+        np.geomspace(x[10], x[-10], 50),
+        x[[5, 6, 100, 1000]],
+        x[[0, -1]],
+        x[-1:],
+        x[:1],
+        np.array([x[0] / 2, x[-1] * 2]),
+        np.nextafter(x[[3, 50, -2]], np.inf),
+        np.nextafter(x[[3, 50, -2]], -np.inf),
+        np.geomspace(x[-10], x[10], 7),
+        np.empty(0),
+    ]
+    for grid in grids:
+        assert table.log_interp(grid).tobytes() == _log_interp_reference(table, grid).tobytes()
+
+
+def test_log_interp_matches_where_rows_share_a_log10():
+    # adjacent doubles near 10^3: about nine of them round onto each log10
+    x = 1000.0 + np.arange(40) * np.spacing(1000.0)
+    table = CcdfTable(x=x, p=np.arange(40, 0, -1) / 40)
+    assert np.unique(np.log10(x)).size < 10
+    for lo in range(0, 40, 3):
+        for hi in range(lo, 40, 4):
+            grid = x[[lo, hi]]
+            assert table.log_interp(grid).tobytes() == _log_interp_reference(table, grid).tobytes()
+
+
 def test_ccdf_table_invariants():
     with pytest.raises(ParameterError):
         CcdfTable(x=np.array([1.0, 1.0]), p=np.array([1.0, 0.5]))
