@@ -71,14 +71,13 @@ class DirectedGraph:
         return np.bincount(self.dst, minlength=self.n)
 
 
-def from_edges(src, dst, n: int | None = None, original_ids=None) -> DirectedGraph:
-    """Graph from parallel endpoint arrays with dense ids."""
+def from_edges(src, dst, n: int, original_ids=None) -> DirectedGraph:
+    """Graph on n nodes from parallel endpoint arrays of dense ids in
+    [0, n)."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if src.size == 0:
         raise ParameterError("graph must have at least one edge")
-    if n is None:
-        n = int(max(src.max(), dst.max())) + 1
     # same permutation as np.lexsort((dst, src)) for ids in [0, n)
     order = np.argsort(src * np.int64(n) + dst, kind="stable")
     if original_ids is None:
@@ -196,16 +195,12 @@ def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
     to dense [0, n) in ascending order with the mapping kept on the
     graph. Duplicate edges collapse unless keep_duplicates is set.
     `lines` is one string (split with str.splitlines) or an iterable
-    of lines.
+    of lines; either goes through the line loop. Files go through
+    load_edge_list, which reads plain ones with np.loadtxt.
     """
     if isinstance(lines, str):
-        columns = None
-        if lines.isascii():
-            columns = _table_columns(lines.encode("ascii"))
-        columns = columns or _line_columns(lines.splitlines())
-    else:
-        columns = _line_columns(lines)
-    return _graph_from_ids(*columns, keep_duplicates)
+        lines = lines.splitlines()
+    return _graph_from_ids(*_line_columns(lines), keep_duplicates)
 
 
 def load_edge_list(path, keep_duplicates: bool = False) -> DirectedGraph:
@@ -252,7 +247,7 @@ class PageRankVector:
     converged: bool
 
 
-def check_pagerank_args(c: float, tol: float = DEFAULT_TOL, dangling: str = "redistribute") -> None:
+def check_pagerank_args(c: float, tol: float, dangling: str) -> None:
     """Raise ParameterError unless pagerank accepts these settings."""
     if not 0 < c < 1:
         raise ParameterError(f"c must lie in (0, 1), got {c}")

@@ -8,6 +8,7 @@ exponents reported by this module are CCDF exponents.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -42,11 +43,13 @@ class CcdfTable:
         p = np.asarray(self.p, dtype=float)
         if x.ndim != 1 or x.shape != p.shape or x.size == 0:
             raise ParameterError("x and p must be nonempty 1-d arrays of equal length")
-        if np.any(np.diff(x) <= 0):
+        # each check states what must hold, so NaN fails it; a NaN in x
+        # makes a difference NaN, except in a one-row table
+        if np.isnan(x[0]) or not np.all(np.diff(x) > 0):
             raise ParameterError("x values must be strictly increasing")
-        if np.any(p <= 0) or np.any(p > 1):
+        if not (np.all(p > 0) and np.all(p <= 1)):
             raise ParameterError("p values must lie in (0, 1]")
-        if np.any(np.diff(p) > 0):
+        if not np.all(np.diff(p) <= 0):
             raise ParameterError("p must be non-increasing in x")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
@@ -55,46 +58,25 @@ class CcdfTable:
     def size(self) -> int:
         return self.x.size
 
-    def cdf_at_points(self) -> np.ndarray:
-        """Fraction of samples <= x[k]; complements p shifted one step."""
-        return 1.0 - np.append(self.p[1:], 0.0)
-
     def quantile(self, level: float) -> float:
-        """Smallest table value whose CDF reaches level."""
+        """Smallest table value whose CDF reaches level. The CDF at x[k]
+        is 1 - p[k + 1], and 1 at the last row; a bisection compares level
+        with those doubles as np.searchsorted over the built column would."""
         if not 0 < level < 1:
             raise ParameterError(f"quantile level must lie in (0, 1), got {level}")
-        idx = int(np.searchsorted(self.cdf_at_points(), level, side="left"))
-        return float(self.x[min(idx, self.size - 1)])
+        p = self.p
+        row = bisect.bisect_left(range(self.size - 1), level, key=lambda k: 1.0 - float(p[k + 1]))
+        return float(self.x[row])
 
     def log_interp(self, x_grid: np.ndarray) -> np.ndarray:
-        """log10 p at the grid points, linear in (log10 x, log10 p).
-
-        Rows at x <= 0 (a zero-count atom, typically) cannot appear on
-        a log axis and are excluded, exactly as in the log-log export.
-        Only the rows from the one at or below the lowest grid point
-        up to the first whose log10 lies above that of the highest are
-        taken to log10 (several rows of x can round onto one log10):
-        np.interp finds the same pair of rows around each point in them
-        as in every positive row, and returns the same doubles.
-        """
+        """log10 p at the grid points, linear in (log10 x, log10 p)
+        between the table's rows. Rows at x <= 0 (a zero-count atom,
+        typically) cannot appear on a log axis and are excluded, exactly
+        as in the log-log export."""
         start = int(np.searchsorted(self.x, 0.0, side="right"))
         if start == self.size:
             raise ParameterError("log-log interpolation requires positive support")
-        x_grid = np.asarray(x_grid, dtype=float)
-        log_grid = np.log10(x_grid)
-        # rows at or below each point; log10 never decreases, so row
-        # rank - 1 lies at or below the point in log space too
-        rank = np.searchsorted(self.x, x_grid, side="right")
-        lo = max(int(rank.min(initial=self.size)) - 1, start)
-        hi = max(int(rank.max(initial=0)) + 1, lo + 1)
-        top = log_grid.max(initial=-np.inf)
-        while True:
-            hi = min(hi, self.size)
-            log_x = np.log10(self.x[lo:hi])
-            if hi == self.size or log_x[-1] > top:
-                break
-            hi += hi - lo
-        return np.interp(log_grid, log_x, np.log10(self.p[lo:hi]))
+        return np.interp(np.log10(x_grid), np.log10(self.x[start:]), np.log10(self.p[start:]))
 
 
 def ccdf(samples) -> CcdfTable:
@@ -222,7 +204,7 @@ def check_top_fraction(fraction: float) -> None:
         raise ParameterError(f"fraction must lie in (0, 1], got {fraction}")
 
 
-def x_min_for_top_fraction(samples, fraction: float = DEFAULT_TOP_FRACTION) -> float:
+def x_min_for_top_fraction(samples, fraction: float) -> float:
     """Threshold at the k-th largest sample, k = ceil(fraction * n)."""
     values = _values(samples)
     check_top_fraction(fraction)
@@ -232,8 +214,8 @@ def x_min_for_top_fraction(samples, fraction: float = DEFAULT_TOP_FRACTION) -> f
     return float(np.sort(values)[values.size - k])
 
 
-def fit_tail_fraction(samples, fraction: float = DEFAULT_TOP_FRACTION) -> TailFit:
-    """Fit the tail above the top-fraction threshold (default top 10%).
+def fit_tail_fraction(samples, fraction: float) -> TailFit:
+    """Fit the tail above the top-fraction threshold.
 
     A threshold of zero or below comes from the data (the top fraction
     is all zeros, say), not from the call, so it is a degenerate fit.
@@ -266,9 +248,10 @@ def log_ccdf_offset(a: CcdfTable, b: CcdfTable) -> float:
     log-spaced grid with linear interpolation in log-log coordinates.
     """
     lo, hi = QUANTILE_BAND
-    heavy = a if a.quantile(hi) >= b.quantile(hi) else b
+    a_hi, b_hi = a.quantile(hi), b.quantile(hi)
+    heavy, heavy_hi = (a, a_hi) if a_hi >= b_hi else (b, b_hi)
     x_lo = max(heavy.quantile(lo), float(a.x[0]), float(b.x[0]))
-    x_hi = min(heavy.quantile(hi), float(a.x[-1]), float(b.x[-1]))
+    x_hi = min(heavy_hi, float(a.x[-1]), float(b.x[-1]))
     if not x_lo < x_hi:
         raise ParameterError(
             f"CCDF supports do not overlap inside the quantile band {QUANTILE_BAND}"

@@ -84,7 +84,11 @@ def test_ccdf_hand_example():
     table = ccdf(np.array([1.0, 2.0, 2.0, 4.0]))
     assert np.array_equal(table.x, [1.0, 2.0, 4.0])
     assert np.array_equal(table.p, [1.0, 0.75, 0.25])
-    assert np.array_equal(table.cdf_at_points(), [0.25, 0.75, 1.0])
+    # the CDF reaches 0.25 at x = 1, 0.75 at x = 2 and 1 at x = 4
+    assert table.quantile(0.25) == 1.0
+    assert table.quantile(np.nextafter(0.25, 1.0)) == 2.0
+    assert table.quantile(0.75) == 2.0
+    assert table.quantile(np.nextafter(0.75, 1.0)) == 4.0
 
 
 def test_ccdf_first_point_is_total_mass():
@@ -126,7 +130,8 @@ def test_ccdf_rejects_nan():
 
 
 def _log_interp_reference(table, x_grid):
-    """log_interp over every positive row of the table."""
+    """log_interp over every positive row of the table, the rows picked
+    by a mask rather than by a search for the first positive x."""
     keep = table.x > 0
     return np.interp(np.log10(x_grid), np.log10(table.x[keep]), np.log10(table.p[keep]))
 
@@ -170,6 +175,51 @@ def test_ccdf_table_invariants():
         CcdfTable(x=np.array([1.0, 2.0]), p=np.array([0.5, 1.0]))
     with pytest.raises(ParameterError):
         CcdfTable(x=np.array([1.0, 2.0]), p=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "x, p",
+    [
+        ([1.0, np.nan], [1.0, 0.5]),
+        ([np.nan, 1.0], [1.0, 0.5]),
+        ([np.nan], [1.0]),
+        ([1.0, 2.0], [np.nan, 0.5]),
+        ([1.0, 2.0], [1.0, np.nan]),
+        ([1.0], [np.nan]),
+    ],
+)
+def test_ccdf_table_rejects_nan(x, p):
+    with pytest.raises(ParameterError):
+        CcdfTable(x=np.array(x), p=np.array(p))
+
+
+def _quantile_reference(table, level):
+    """quantile as np.searchsorted over the whole CDF column."""
+    cdf = 1.0 - np.append(table.p[1:], 0.0)
+    idx = int(np.searchsorted(cdf, level, side="left"))
+    return float(table.x[min(idx, table.size - 1)])
+
+
+def _quantile_tables():
+    rng = np.random.default_rng(6)
+    yield ccdf([5.0])
+    yield ccdf([1.0, 2.0, 2.0, 4.0])
+    # equal p on adjacent rows, so equal CDF values
+    yield CcdfTable(x=np.arange(1.0, 6.0), p=np.array([1.0, 0.5, 0.5, 0.5, 0.25]))
+    yield CcdfTable(x=np.array([1.0, 2.0]), p=np.array([0.5, 0.5]))
+    yield ccdf(np.round(rng.standard_normal(2000), 1))
+    yield ccdf(rng.pareto(1.1, 2000))
+    for size in (1, 2, 3, 10, 100):
+        yield CcdfTable(x=np.cumsum(rng.random(size) + 0.1), p=np.sort(rng.random(size))[::-1] * 0.9 + 0.05)
+
+
+def test_quantile_matches_searchsorted_over_the_cdf():
+    for table in _quantile_tables():
+        # every CDF value, both neighbouring doubles, and the band's levels
+        cdf = 1.0 - np.append(table.p[1:], 0.0)
+        levels = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.5, 0.99, 0.9999]])
+        for level in levels[(levels > 0) & (levels < 1)].tolist():
+            assert table.quantile(level) == _quantile_reference(table, level), (table, level)
 
 
 def test_quantile_on_hand_table():
