@@ -16,7 +16,8 @@ its outputs; a pagerank run that does not converge is one of them. An
 exception that maps to no exit code (a bug, a KeyboardInterrupt) is
 recorded as "Type: message" with a null exit code, and propagates.
 --out must name a new or an empty directory. Exit codes: 0 success,
-2 parameter error, 3 I/O or parse error, 4 numeric non-convergence.
+2 parameter error or a run too large for memory, 3 I/O or parse
+error, 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .graph import (
     write_edge_list,
 )
 from .growingnet import GrowthParams, generate
-from .rvmodel import pareto_scale_for_mean
 from .samples import save_samples, write_json, write_table
 from .tailstats import (
     DEFAULT_TOP_FRACTION,
@@ -68,20 +68,18 @@ from .tailstats import (
 from .theory import factor
 
 # the exit code of each error a run can end with
-_EXIT_CODES = {ParameterError: 2, DegenerateFitError: 2, ParseError: 3, OSError: 3, NumericError: 4}
+_EXIT_CODES = {
+    ParameterError: 2,
+    DegenerateFitError: 2,
+    MemoryError: 2,
+    ParseError: 3,
+    OSError: 3,
+    NumericError: 4,
+}
 
 
 def _exit_code(exc: BaseException) -> int | None:
     return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), None)
-
-
-def _versions() -> dict:
-    return {
-        "prtail": __version__,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-    }
 
 
 def _write_manifest(args, outputs, recorded: dict, **status) -> None:
@@ -93,7 +91,12 @@ def _write_manifest(args, outputs, recorded: dict, **status) -> None:
         {
             "command": args.command,
             "parameters": {**parameters, **recorded},
-            "versions": _versions(),
+            "versions": {
+                "prtail": __version__,
+                "python": platform.python_version(),
+                "numpy": numpy.__version__,
+                "scipy": scipy.__version__,
+            },
             "outputs": sorted(outputs),
             **status,
         },
@@ -158,24 +161,37 @@ def _observed_offset(r_table, n_table):
         return None
 
 
-def _predicted_log10_y(grid: list) -> list:
-    """log10 y(c) for every c of the grid; factor raises a ParameterError
-    where y is not a positive finite double, so callers run this before
-    they create the output directory."""
-    return [math.log10(factor(p.c, p.d, p.alpha)) for p in grid]
+def _checked_grid(args, c_values: list) -> tuple:
+    """(ModelParams of each c under args' d and alpha, log10 y(c) of each).
+    Raises ParameterError, before any output, where a solve of the grid
+    would, and where y(c) is not a positive finite double."""
+    grid = [ModelParams(c=c, d=args.d, alpha=args.alpha) for c in c_values]
+    check_solve_args(args.pool, args.generations, args.seed)
+    return grid, [math.log10(factor(p.c, p.d, p.alpha)) for p in grid]
 
 
-def _run_model(grid: list, pool: int, generations: int, seed: int, *, history: bool):
+def _run_model(grid: list, args, *, history: bool):
     """Solve for R at every c of the grid from one set of draws, and
     draw the grid's reference N(T) sample once; returns (N sample, its
     CCDF table, one solve result per c). history is solve_r's: whether
     the results keep every generation's diagnostics row or the last."""
     model = grid[0].in_degree_model()
-    results = solve_r(grid, model, pool_size=pool, generations=generations, seed=seed, history=history)
+    results = solve_r(
+        grid, model, pool_size=args.pool, generations=args.generations, seed=args.seed, history=history
+    )
     # reference N(T) draws reuse the final generation's degree stream so
     # the offset comparison cancels shared extreme-draw noise
-    n_values = model.sample(pool, final_generation_seed(seed, generations))
+    n_values = model.sample(args.pool, final_generation_seed(args.seed, args.generations))
     return n_values, ccdf(n_values), results
+
+
+def _warn_unconverged(grid: list, results) -> None:
+    for params, result in zip(grid, results):
+        if not result.converged:
+            print(
+                f"warning: c={params.c!r}: final KS distance {result.ks_final!r} above threshold",
+                file=sys.stderr,
+            )
 
 
 def cmd_pagerank(args) -> int:
@@ -196,14 +212,10 @@ def cmd_pagerank(args) -> int:
 
 
 def cmd_model(args) -> int:
-    params = ModelParams(c=args.c, d=args.d, alpha=args.alpha)
-    check_solve_args(args.pool, args.generations, args.seed)
+    [params], [log10_y] = _checked_grid(args, [args.c])
     check_top_fraction(args.xmin_fraction)
-    [log10_y] = _predicted_log10_y([params])
     with _run_record(args) as output:
-        n_values, n_table, [result] = _run_model(
-            [params], args.pool, args.generations, args.seed, history=True
-        )
+        n_values, n_table, [result] = _run_model([params], args, history=True)
         r_table = ccdf(result.values)
         observed = _observed_offset(r_table, n_table)
         save_samples(
@@ -229,7 +241,7 @@ def cmd_model(args) -> int:
             {
                 "model": "InDegreeModel",
                 "alpha": params.alpha,
-                "x_scale": pareto_scale_for_mean(params.alpha, params.d),
+                "x_scale": params.in_degree_model().tail.x_scale,
             },
         )
         save_diagnostics(result.diagnostics, output("diagnostics.csv"))
@@ -246,12 +258,7 @@ def cmd_model(args) -> int:
                 "difference": None if observed is None else observed - log10_y,
             },
         )
-    if not result.converged:
-        print(
-            f"warning: final KS distance {result.ks_final!r} above threshold; "
-            "inspect diagnostics.csv",
-            file=sys.stderr,
-        )
+    _warn_unconverged([params], [result])
     return 0
 
 
@@ -274,16 +281,11 @@ def _parse_c_grid(text: str) -> list:
 
 def cmd_compare(args) -> int:
     c_grid = _parse_c_grid(args.c)
-    # every grid value is checked before the solve starts
-    grid_params = [ModelParams(c=c, d=args.d, alpha=args.alpha) for c in c_grid]
-    check_solve_args(args.pool, args.generations, args.seed)
-    predicted = numpy.array(_predicted_log10_y(grid_params))
+    grid, predicted = _checked_grid(args, c_grid)
     with _run_record(args, c=c_grid) as output:
         # the N sample and each R table are dropped once they have served;
         # compare writes no diagnostics, so only the last row is taken
-        n_table, results = _run_model(
-            grid_params, args.pool, args.generations, args.seed, history=False
-        )[1:]
+        n_table, results = _run_model(grid, args, history=False)[1:]
         offsets = [_observed_offset(ccdf(result.values), n_table) for result in results]
         observed = numpy.array([math.nan if o is None else o for o in offsets])
         write_table(
@@ -291,13 +293,11 @@ def cmd_compare(args) -> int:
             "c,predicted_log10_y,observed_offset,difference\n",
             "%r,%r,%r,%r\n",
             numpy.array(c_grid),
-            predicted,
+            numpy.array(predicted),
             observed,
             observed - predicted,
         )
-    for c, result in zip(c_grid, results):
-        if not result.converged:
-            print(f"warning: c={c!r}: final KS distance {result.ks_final!r} above threshold", file=sys.stderr)
+    _warn_unconverged(grid, results)
     return 0
 
 
@@ -308,43 +308,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pagerank", help="PageRank of an edge-list graph")
+    # options that several subcommands share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--d", type=float, default=8.2)
+    solve.add_argument("--alpha", type=float, default=1.1)
+    solve.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
+    solve.add_argument("--generations", type=int, default=DEFAULT_GENERATIONS)
+    solve.add_argument("--seed", type=int, default=0)
+    tail = argparse.ArgumentParser(add_help=False)
+    tail.add_argument("--xmin-fraction", type=float, default=DEFAULT_TOP_FRACTION)
+
+    p = sub.add_parser("pagerank", parents=[tail, out], help="PageRank of an edge-list graph")
     p.add_argument("graph", help="edge-list file ('src dst' lines, '#' comments)")
     p.add_argument("--c", type=float, required=True, help="damping factor in (0, 1)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="per-node L1 tolerance")
     p.add_argument("--dangling", choices=DANGLING_POLICIES, default="redistribute")
     p.add_argument("--keep-duplicates", action="store_true", help="keep duplicate edges")
-    p.add_argument("--xmin-fraction", type=float, default=DEFAULT_TOP_FRACTION)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pagerank)
 
-    p = sub.add_parser("model", help="simulate the rank equation")
+    p = sub.add_parser("model", parents=[solve, tail, out], help="simulate the rank equation")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--d", type=float, default=8.2)
-    p.add_argument("--alpha", type=float, default=1.1)
-    p.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
-    p.add_argument("--generations", type=int, default=DEFAULT_GENERATIONS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--xmin-fraction", type=float, default=DEFAULT_TOP_FRACTION)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_model)
 
-    p = sub.add_parser("generate-gn", help="grow an attachment network")
+    p = sub.add_parser("generate-gn", parents=[out], help="grow an attachment network")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate_gn)
 
-    p = sub.add_parser("compare", help="predicted vs observed offsets over a c grid")
+    p = sub.add_parser("compare", parents=[solve, out], help="predicted vs observed offsets over a c grid")
     p.add_argument("--c", required=True, help="comma-separated damping values")
-    p.add_argument("--d", type=float, default=8.2)
-    p.add_argument("--alpha", type=float, default=1.1)
-    p.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
-    p.add_argument("--generations", type=int, default=DEFAULT_GENERATIONS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
     return parser

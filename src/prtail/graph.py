@@ -97,7 +97,7 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 def _plain(data: bytes) -> bool:
     """True when data holds only tab, LF, CR and printable ASCII, with
     every CR in a CRLF: np.loadtxt splits such bytes into lines and
-    tokens as str.splitlines and str.split, or a text-mode file, do."""
+    tokens as a text-mode file and str.split do."""
     if data.translate(None, _PLAIN_BYTES):
         return False
     # a search for CR costs a tenth of a count of CRLF
@@ -194,12 +194,12 @@ def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
     Node ids may be arbitrary integers in [0, 2**63); they are remapped
     to dense [0, n) in ascending order with the mapping kept on the
     graph. Duplicate edges collapse unless keep_duplicates is set.
-    `lines` is one string (split with str.splitlines) or an iterable
-    of lines; either goes through the line loop. Files go through
-    load_edge_list, which reads plain ones with np.loadtxt.
+    `lines` is one string, split into lines as load_edge_list splits a
+    file's, or an iterable of lines; either goes through the line loop.
+    Files go through load_edge_list, which reads plain ones with np.loadtxt.
     """
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        lines = io.StringIO(lines, newline=None)
     return _graph_from_ids(*_line_columns(lines), keep_duplicates)
 
 

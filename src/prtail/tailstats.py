@@ -211,7 +211,7 @@ def x_min_for_top_fraction(samples, fraction: float) -> float:
     if values.size == 0:
         raise ParameterError("cannot pick a threshold from an empty sample")
     k = max(1, int(math.ceil(fraction * values.size)))
-    return float(np.sort(values)[values.size - k])
+    return float(np.partition(values, values.size - k)[values.size - k])
 
 
 def fit_tail_fraction(samples, fraction: float) -> TailFit:
@@ -220,10 +220,11 @@ def fit_tail_fraction(samples, fraction: float) -> TailFit:
     A threshold of zero or below comes from the data (the top fraction
     is all zeros, say), not from the call, so it is a degenerate fit.
     """
-    x_min = x_min_for_top_fraction(samples, fraction)
+    values = _values(samples)
+    x_min = x_min_for_top_fraction(values, fraction)
     if not x_min > 0:
         raise DegenerateFitError(f"top-{fraction} threshold {x_min} is not positive")
-    return fit_tail_mle(samples, x_min)
+    return fit_tail_mle(values, x_min)
 
 
 def save_tail_fit(fit: TailFit, path) -> None:

@@ -219,6 +219,24 @@ def test_model_exits_2_when_a_draw_fails_in_the_solve(tmp_path, monkeypatch, cap
     assert threading.active_count() == threads
 
 
+def test_run_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # the solve's allocation fails as numpy's does; nothing is allocated
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+    def failing_solve(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "solve_r", failing_solve)
+    out = tmp_path / "out"
+    argv = ["model", "--c", "0.5", "--pool", "1000000000000", "--generations", "1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    manifest = read_manifest(out)
+    assert manifest["error"] == message
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"] == ["manifest.json"]
+
+
 @pytest.mark.parametrize("error, code", [(OSError, 3), (ParameterError, 2)])
 def test_failed_run_records_its_error(tmp_path, monkeypatch, capsys, error, code):
     # the R sample is written, then the N sample's write fails
@@ -439,6 +457,20 @@ def test_model_ks_warning_still_succeeds(tmp_path, capsys):
     )
     assert rc == 0
     assert "KS distance" in capsys.readouterr().err
+
+
+def test_model_warns_on_an_unconverged_run(tmp_path, capsys):
+    # one generation at pool 1000 leaves c = 0.9 far from its fixed point
+    params = ModelParams(c=0.9, d=8.2, alpha=1.1)
+    [result] = solve_r([params], params.in_degree_model(), pool_size=1000, generations=1, seed=0)
+    assert result.ks_final > KS_THRESHOLD
+    rc = main(
+        ["model", "--c", "0.9", "--pool", "1000", "--generations", "1", "--seed", "0",
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 0
+    warning = f"warning: c=0.9: final KS distance {result.ks_final!r} above threshold"
+    assert capsys.readouterr().err.splitlines() == [warning]
 
 
 def test_model_tiny_damping_degenerate_run(tmp_path, capsys):

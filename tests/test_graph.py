@@ -1,5 +1,7 @@
 """Edge-list ingestion and PageRank power iteration."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -33,10 +35,12 @@ def pagerank_dense_oracle(g, c, dangling="redistribute"):
 
 def _parse_reference(lines, keep_duplicates=False):
     """parse_edge_list as one loop over lines, as it ran before np.loadtxt
-    read the text, with the one intended change: an id of 2**63 or more
-    raises ParseError on its line instead of OverflowError after the loop."""
+    read the text, with two intended changes: an id of 2**63 or more
+    raises ParseError on its line instead of OverflowError after the loop,
+    and a string splits into lines as a text-mode file does, not as
+    str.splitlines does."""
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        lines = io.StringIO(lines, newline=None)
     raw_src, raw_dst = [], []
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -167,6 +171,18 @@ def test_loadtxt_reads_plain_text(text):
 def test_parse_matches_line_loop(text, keep_duplicates):
     assert _outcome(parse_edge_list, text, keep_duplicates=keep_duplicates) == _outcome(
         _parse_reference, text, keep_duplicates=keep_duplicates
+    )
+
+
+@pytest.mark.parametrize("keep_duplicates", [False, True])
+@pytest.mark.parametrize("text", PLAIN_CORPUS + ODD_CORPUS)
+def test_parse_text_matches_load_of_its_file(text, keep_duplicates, tmp_path):
+    # a string splits into the lines a file of its UTF-8 bytes has, so
+    # "\x0c", "\x85" and the like stay inside a line either way
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(parse_edge_list, text, keep_duplicates=keep_duplicates) == _outcome(
+        load_edge_list, path, keep_duplicates=keep_duplicates
     )
 
 
