@@ -35,8 +35,6 @@ import scipy
 from . import __version__
 from .errors import DegenerateFitError, NumericError, ParameterError, ParseError
 from .fixedpoint import (
-    DEFAULT_GENERATIONS,
-    DEFAULT_POOL_SIZE,
     ModelParams,
     check_solve_args,
     final_generation_seed,
@@ -314,8 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = argparse.ArgumentParser(add_help=False)
     solve.add_argument("--d", type=float, default=8.2)
     solve.add_argument("--alpha", type=float, default=1.1)
-    solve.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
-    solve.add_argument("--generations", type=int, default=DEFAULT_GENERATIONS)
+    solve.add_argument("--pool", type=int, default=10**6)
+    solve.add_argument("--generations", type=int, default=30)
     solve.add_argument("--seed", type=int, default=0)
     tail = argparse.ArgumentParser(add_help=False)
     tail.add_argument("--xmin-fraction", type=float, default=DEFAULT_TOP_FRACTION)

@@ -125,8 +125,6 @@ _KS_CHUNK = 1 << 14
 # took 34 ms; searching every value took about 90 ms.
 _KS_STRIDE = 128
 
-DEFAULT_POOL_SIZE = 10**6
-DEFAULT_GENERATIONS = 30
 KS_THRESHOLD = 0.005
 MIN_POOL_SIZE = 10**3
 _TOP_COUNT = 10
@@ -183,13 +181,17 @@ class SolveResult:
 
 
 def final_generation_seed(seed: int, generations: int) -> int:
-    """Seed of the degree stream used by the last generation of solve_r.
+    """Seed of generation g = generations of solve_r under seed, on
+    which that generation's degree and pick streams run. A run of g
+    generations ends with generation g, so this is its last seed.
 
-    Drawing a reference N(T) sample with this seed reproduces the
+    Drawing a reference N(T) sample with the last seed reproduces the
     exact in-degree draws behind the final pool, so R-vs-N comparisons
     (tail offsets, Hill-fit differences, dominance checks) cancel the
     shared extreme-draw noise instead of stacking two independent
-    heavy-tail fluctuations.
+    heavy-tail fluctuations. solve_r takes every generation's seed
+    from here, so the solve and its reference sample cannot drift
+    apart.
     """
     if generations < 1:
         raise ParameterError(f"generations must be at least 1, got {generations}")
@@ -239,12 +241,11 @@ def ks_distance(a: np.ndarray, b: np.ndarray, *, presorted: bool = False) -> flo
 
     The statistic is the largest |F_a(v) - F_b(v)| over the sample
     values v, with F the right-continuous empirical CDFs. Each sample
-    is put in ascending order (a sorted copy; a sample already in
-    order is used as it is, and neither input is changed). A caller
-    that has just sorted both samples passes presorted=True, which
-    skips the two passes that check their order; the samples must then
-    be in np.sort's order, and NaN is still rejected. Every gap
-    is taken as integer counts, each divided by its own sample size:
+    is sorted into a copy, and neither input is changed. A caller that
+    has just sorted both samples passes presorted=True, which skips
+    the two sorts; the samples must then be in np.sort's order, and
+    NaN is still rejected. Every gap is taken as integer counts, each
+    divided by its own sample size:
     F_a(v) - F_b(v) = A/n_a - B/n_b with A and B the counts of values
     at or below v, which is the same arithmetic as evaluating both
     empirical CDFs on the pooled grid, so the statistic, and with it
@@ -271,7 +272,7 @@ def ks_distance(a: np.ndarray, b: np.ndarray, *, presorted: bool = False) -> flo
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
         raise ParameterError("KS distance requires two nonempty 1-d samples")
     if not presorted:
-        a, b = _ascending(a), _ascending(b)
+        a, b = np.sort(a), np.sort(b)
     # the sort puts NaN last, so each sample's last value tells
     if np.isnan(a[-1]) or np.isnan(b[-1]):
         raise ParameterError("KS distance is undefined for NaN samples")
@@ -298,16 +299,6 @@ def ks_distance(a: np.ndarray, b: np.ndarray, *, presorted: bool = False) -> flo
             _largest_gap(b, a, int(rank_b[lo]), int(rank_b[hi])),
         )
     return gap
-
-
-def _ascending(x: np.ndarray) -> np.ndarray:
-    """x when it is in ascending order (NaN never is, past one value),
-    else a sorted copy."""
-    for lo in range(0, x.size - 1, _KS_CHUNK):
-        hi = min(lo + _KS_CHUNK, x.size - 1)
-        if not np.all(x[lo:hi] <= x[lo + 1:hi + 1]):
-            return np.sort(x)
-    return x
 
 
 def _largest_gap(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> float:
@@ -379,9 +370,9 @@ def _diagnose(generation: int, pools: list, older: list, scratch: np.ndarray) ->
 def solve_r(
     grid,
     model,
-    pool_size: int = DEFAULT_POOL_SIZE,
-    generations: int = DEFAULT_GENERATIONS,
-    seed: int = 0,
+    pool_size: int,
+    generations: int,
+    seed: int,
     history: bool = True,
 ) -> list:
     """Iterate one pool per ModelParams of the grid to distributional
@@ -415,7 +406,7 @@ def solve_r(
     if any((p.d, p.alpha) != (grid[0].d, grid[0].alpha) for p in grid):
         raise ParameterError("every ModelParams of a grid must share d and alpha")
     check_solve_args(pool_size, generations, seed)
-    seeds = [derive(seed, _TAG_GEN, g) for g in range(1, generations + 1)]
+    seeds = [final_generation_seed(seed, g) for g in range(1, generations + 1)]
     pools = [np.ones(pool_size)] * len(grid)
     # generation g's running ends go to buffers[g % 2]; the other one is
     # the helper's, first to sort in, then for the next counts

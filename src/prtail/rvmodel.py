@@ -32,15 +32,6 @@ POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max
 _BLOCK = 1 << 16
 
 
-def pareto_scale_for_mean(alpha: float, d: float) -> float:
-    """Scale m such that Pareto(alpha, m) has mean d: m = d(alpha-1)/alpha."""
-    if not alpha > 1:
-        raise ParameterError(f"alpha must exceed 1 for a finite mean, got {alpha}")
-    if not d > 0:
-        raise ParameterError(f"mean must be positive, got {d}")
-    return d * (alpha - 1.0) / alpha
-
-
 @dataclass(frozen=True)
 class TailSpec:
     """Pareto law for T: CCDF (x/x_scale)^(-alpha) for x >= x_scale."""
@@ -54,9 +45,6 @@ class TailSpec:
         if not self.x_scale > 0:
             raise ParameterError(f"x_scale must be positive, got {self.x_scale}")
 
-    def mean(self) -> float:
-        return self.x_scale * self.alpha / (self.alpha - 1.0)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws by CCDF inversion of a uniform in (0, 1]."""
         u = 1.0 - rng.random(n)
@@ -64,8 +52,15 @@ class TailSpec:
 
 
 def tail_spec_for_mean(alpha: float, d: float) -> TailSpec:
-    """Pareto TailSpec calibrated so that E T = d."""
-    return TailSpec(alpha=alpha, x_scale=pareto_scale_for_mean(alpha, d))
+    """Pareto TailSpec calibrated so that E T = d: a Pareto law of index
+    alpha and scale m has mean m * alpha / (alpha - 1), so its x_scale
+    is m = d * (alpha - 1) / alpha. Raises ParameterError unless
+    alpha > 1 (a finite mean) and d > 0."""
+    if not alpha > 1:
+        raise ParameterError(f"alpha must exceed 1 for a finite mean, got {alpha}")
+    if not d > 0:
+        raise ParameterError(f"mean must be positive, got {d}")
+    return TailSpec(alpha=alpha, x_scale=d * (alpha - 1.0) / alpha)
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,12 @@ def thin_ccdf(table: CcdfTable) -> CcdfTable:
     where it has rows at x <= 0.
     """
     keep = np.ones(table.size, dtype=bool)
-    x_cells, p_cells = _log_cells(table.x), _log_cells(table.p)
-    keep[1:-1] = (x_cells[1:-1] != x_cells[:-2]) | (p_cells[1:-1] != p_cells[:-2])
+    # one column's cells at a time, so one cell array is alive at once
+    cells = _log_cells(table.x)
+    keep[1:-1] = cells[1:-1] != cells[:-2]
+    del cells
+    cells = _log_cells(table.p)
+    keep[1:-1] |= cells[1:-1] != cells[:-2]
     return CcdfTable(x=table.x[keep], p=table.p[keep])
 
 

@@ -10,7 +10,6 @@ from prtail.rng import stream
 from prtail.rvmodel import (
     InDegreeModel,
     TailSpec,
-    pareto_scale_for_mean,
     tail_spec_for_mean,
 )
 from prtail.samples import save_samples
@@ -26,20 +25,20 @@ def _ccdf(spec, x):
 
 def test_pareto_scale_frozen_value():
     # alpha=1.1, mean 8.2: m = d(alpha-1)/alpha = 0.82/1.1
-    assert pareto_scale_for_mean(1.1, 8.2) == pytest.approx(0.7454545454545455, abs=1e-15)
+    assert tail_spec_for_mean(1.1, 8.2).x_scale == pytest.approx(0.7454545454545455, abs=1e-15)
 
 
 def test_pareto_scale_realizes_mean_by_quadrature():
     alpha, d = 1.3, 5.0
-    m = pareto_scale_for_mean(alpha, d)
+    m = tail_spec_for_mean(alpha, d).x_scale
     mean, _ = quad(lambda x: x * alpha * m**alpha * x ** (-alpha - 1.0), m, np.inf)
     assert mean == pytest.approx(d, rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.9, 0.5])
 def test_pareto_scale_rejects_infinite_mean(alpha):
-    with pytest.raises(ParameterError):
-        pareto_scale_for_mean(alpha, 8.2)
+    with pytest.raises(ParameterError, match="finite mean"):
+        tail_spec_for_mean(alpha, 8.2)
 
 
 def test_tail_spec_validation():
@@ -54,7 +53,6 @@ def test_mean_formula_matches_ccdf_integral():
     spec = tail_spec_for_mean(1.7, 4.0)
     tail_mass, _ = quad(lambda x: float(_ccdf(spec, x)), spec.x_scale, np.inf, limit=200)
     assert spec.x_scale + tail_mass == pytest.approx(4.0, rel=1e-9)
-    assert spec.mean() == pytest.approx(4.0, rel=1e-12)
 
 
 def test_sampling_inverts_ccdf():
@@ -96,7 +94,7 @@ def test_in_degree_mean_matches_t_mean_when_finite_variance():
     alpha, d = 2.5, 8.2
     model = InDegreeModel(tail_spec_for_mean(alpha, d))
     counts = model.sample(200_000, seed=2)
-    m = pareto_scale_for_mean(alpha, d)
+    m = tail_spec_for_mean(alpha, d).x_scale
     var_t = alpha * m**2 / (alpha - 2.0) - d**2
     var_n = var_t + d  # Poisson mixing adds the mean
     se = np.sqrt(var_n / counts.size)
