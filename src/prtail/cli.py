@@ -147,15 +147,15 @@ def _save_tail_artifacts(values, table, prefix: str, output, fraction: float) ->
     save_tail_fit(fit, output(f"{prefix}_tail_fit.json"))
 
 
-def _observed_offset(r_table, n_table):
-    """Vertical log-log offset between the CCDF tables of R and N, or
-    None when the quantile band falls outside their common support
-    (degenerate runs, e.g. c close to 0 where R collapses to a point
-    mass)."""
+def _observed_offset(c: float, r_table, n_table):
+    """Vertical log-log offset between the CCDF tables of R at damping
+    c and of N, or None, with a note naming c, when the quantile band
+    falls outside their common support (degenerate runs, e.g. c close
+    to 0 where R collapses to a point mass)."""
     try:
         return log_ccdf_offset(r_table, n_table)
     except ParameterError as exc:
-        print(f"note: offset unavailable ({exc})", file=sys.stderr)
+        print(f"note: c={c!r}: offset unavailable ({exc})", file=sys.stderr)
         return None
 
 
@@ -215,7 +215,7 @@ def cmd_model(args) -> int:
     with _run_record(args) as output:
         n_values, n_table, [result] = _run_model([params], args, history=True)
         r_table = ccdf(result.values)
-        observed = _observed_offset(r_table, n_table)
+        observed = _observed_offset(params.c, r_table, n_table)
         save_samples(
             output("r_samples.txt"),
             result.values,
@@ -284,7 +284,7 @@ def cmd_compare(args) -> int:
         # the N sample and each R table are dropped once they have served;
         # compare writes no diagnostics, so only the last row is taken
         n_table, results = _run_model(grid, args, history=False)[1:]
-        offsets = [_observed_offset(ccdf(result.values), n_table) for result in results]
+        offsets = [_observed_offset(p.c, ccdf(result.values), n_table) for p, result in zip(grid, results)]
         observed = numpy.array([math.nan if o is None else o for o in offsets])
         write_table(
             output("compare.csv"),

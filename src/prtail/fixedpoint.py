@@ -52,11 +52,11 @@ helper's queued calls are cancelled, a running one finishes, and the
 thread is joined before solve_r returns or raises.
 
 Threading changes no byte. Each random stream has one consumer in its
-original order: the degree streams (tags 1 and 2) the helper, the pick
-stream the main thread. The sums are the same kernel calls in the
-same order. A diagnostics row reads only pools that are finished: the
-mean is taken on the pool in its own order, the KS distance is
-integer counts, each divided by its own sample size (see
+original order: the degree streams (rng.KEY_T and KEY_MIX) the
+helper, the pick stream the main thread. The sums are the same kernel
+calls in the same order. A diagnostics row reads only pools that are
+finished: the mean is taken on the pool in its own order, the KS
+distance is integer counts, each divided by its own sample size (see
 ks_distance), and the top 10 are read off the sorted pool. The rows
 of generation g-1 compare its pools with those of g-2, which nothing
 reads picks from any more, so the helper sorts those in place and
@@ -103,12 +103,10 @@ import numpy as np
 
 from . import accel
 from .errors import ParameterError, StateError
-from .rng import check_seed, derive, stream
+from .rng import KEY_GENERATION, KEY_PICK, check_seed, derive, stream
 from .rvmodel import InDegreeModel, tail_spec_for_mean
 from .samples import write_table
 
-_TAG_PICK = 3  # pool-index stream; tags 1 and 2 belong to the degree model
-_TAG_GEN = 4   # per-generation sub-seed derivation
 # picks drawn and summed at once: 0.25 MiB per pick-sized temporary
 # (the indices and the kernel's 1.0 weights). In solve_r these
 # temporaries add to the peak that the helper's work sets. Solves at
@@ -189,13 +187,13 @@ def final_generation_seed(seed: int, generations: int) -> int:
     exact in-degree draws behind the final pool, so R-vs-N comparisons
     (tail offsets, Hill-fit differences, dominance checks) cancel the
     shared extreme-draw noise instead of stacking two independent
-    heavy-tail fluctuations. solve_r takes every generation's seed
-    from here, so the solve and its reference sample cannot drift
-    apart.
+    heavy-tail fluctuations. solve_r derives each generation's seed
+    here as it draws that generation's counts and sums its picks, so
+    the solve and its reference sample cannot drift apart.
     """
     if generations < 1:
         raise ParameterError(f"generations must be at least 1, got {generations}")
-    return derive(seed, _TAG_GEN, generations)
+    return derive(seed, KEY_GENERATION, generations)
 
 
 def iterate_generation(pools: list, grid, ends: np.ndarray, seed: int) -> list:
@@ -209,7 +207,7 @@ def iterate_generation(pools: list, grid, ends: np.ndarray, seed: int) -> list:
     if size == 0:
         raise StateError("cannot iterate from an empty pool")
     total = int(ends[-1])
-    rng = stream(seed, _TAG_PICK)
+    rng = stream(seed, KEY_PICK)
     sums = [np.zeros(size) for _ in pools]
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
@@ -406,7 +404,6 @@ def solve_r(
     if any((p.d, p.alpha) != (grid[0].d, grid[0].alpha) for p in grid):
         raise ParameterError("every ModelParams of a grid must share d and alpha")
     check_solve_args(pool_size, generations, seed)
-    seeds = [final_generation_seed(seed, g) for g in range(1, generations + 1)]
     pools = [np.ones(pool_size)] * len(grid)
     # generation g's running ends go to buffers[g % 2]; the other one is
     # the helper's, first to sort in, then for the next counts
@@ -414,8 +411,8 @@ def solve_r(
     rows = []
     helper = ThreadPoolExecutor(1, thread_name_prefix="prtail-solve-helper")
     try:
-        counts = helper.submit(_running_ends, model, pool_size, seeds[0], buffers[1])
-        for g, gen_seed in enumerate(seeds, 1):
+        counts = helper.submit(_running_ends, model, pool_size, final_generation_seed(seed, 1), buffers[1])
+        for g in range(1, generations + 1):
             if rows:
                 rows[-1].result()  # generation g-2
             ends = counts.result()
@@ -423,11 +420,12 @@ def solve_r(
             if history and g > 1:
                 rows.append(helper.submit(_diagnose, g - 1, pools, older, spare))
             if g < generations:
-                counts = helper.submit(_running_ends, model, pool_size, seeds[g], spare)
+                next_seed = final_generation_seed(seed, g + 1)
+                counts = helper.submit(_running_ends, model, pool_size, next_seed, spare)
             # generation g-2 is the helper's alone from here; without
             # its row, this drops it before the sums are allocated
             older = pools
-            pools = iterate_generation(older, grid, ends, gen_seed)
+            pools = iterate_generation(older, grid, ends, final_generation_seed(seed, g))
         rows.append(helper.submit(_diagnose, generations, pools, older, ends))
         columns = zip(*(future.result() for future in rows))
     finally:

@@ -194,8 +194,8 @@ def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
     Node ids may be arbitrary integers in [0, 2**63); they are remapped
     to dense [0, n) in ascending order with the mapping kept on the
     graph. Duplicate edges collapse unless keep_duplicates is set.
-    `lines` is one string, split into lines as load_edge_list splits a
-    file's, or an iterable of lines; either goes through the line loop.
+    `lines` is one string, whose lines end at "\n", "\r\n" or a lone
+    "\r", or an iterable of lines; either goes through the line loop.
     Files go through load_edge_list, which reads plain ones with np.loadtxt.
     """
     if isinstance(lines, str):
@@ -204,24 +204,22 @@ def parse_edge_list(lines, keep_duplicates: bool = False) -> DirectedGraph:
 
 
 def load_edge_list(path, keep_duplicates: bool = False) -> DirectedGraph:
-    """parse_edge_list of a file, read as a text-mode file reads it:
-    lines end at "\n", "\r\n" or a lone "\r".
+    """parse_edge_list of a file's text, UTF-8 in any locale: lines
+    end at "\n", "\r\n" or a lone "\r".
 
     The file is read once, as bytes, and np.loadtxt reads them when
-    they pass the plainness and inline-'#' checks. Otherwise the line
-    loop reads the same bytes decoded as a text-mode file decodes them,
-    and a file that does not decode raises ParseError."""
+    they pass the plainness and inline-'#' checks. Otherwise
+    parse_edge_list reads the same bytes decoded as UTF-8, and a file
+    that does not decode raises ParseError."""
     with open(path, "rb") as fh:
         data = fh.read()
     columns = _table_columns(data)
     if columns is None:
         try:
-            text = io.TextIOWrapper(io.BytesIO(data)).read()
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not a text file: {exc}") from None
-        # StringIO, like the file, breaks lines at "\n" alone, where
-        # str.splitlines would also break them at "\x0c", "\x85" and others
-        columns = _line_columns(io.StringIO(text))
+        return parse_edge_list(text, keep_duplicates)
     # the file's bytes go before the graph is built, which sets the peak
     del data
     return _graph_from_ids(*columns, keep_duplicates)

@@ -18,9 +18,7 @@ import numpy as np
 from . import accel
 from .errors import ParameterError
 from .graph import DirectedGraph, from_edges
-from .rng import check_seed, kernel_seed
-
-_TAG_GROWTH = 5
+from .rng import KEY_GROWTH, check_seed, kernel_seed
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ def generate(params: GrowthParams) -> DirectedGraph:
         params.n_final,
         params.d,
         float(params.beta),
-        kernel_seed(params.seed, _TAG_GROWTH),
+        kernel_seed(params.seed, KEY_GROWTH),
     )
     return from_edges(src, dst, n=params.n_final)
 

@@ -6,9 +6,9 @@ seed. Independent streams are split off with one documented rule:
     stream(seed, *key) == np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 where ``key`` is a tuple of small nonnegative integers identifying the
-consumer (a module-level tag, and extra indices such as a generation
-number). Distinct keys give statistically independent PCG64 streams and
-the same (seed, key) always reproduces the same stream.
+consumer: one of the KEY_* values below, and extra indices such as a
+generation number. Distinct keys give statistically independent PCG64
+streams and the same (seed, key) always reproduces the same stream.
 
 Two helpers cover the cases where a Generator cannot be threaded
 through directly: ``derive`` re-keys to a fresh 64-bit master seed for
@@ -21,6 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
+
+# stream keys, one per consumer, each the first element of its keys
+KEY_T = 1           # rvmodel: the T draws of InDegreeModel.sample
+KEY_MIX = 2         # rvmodel: the Poisson counts over those T draws
+KEY_PICK = 3        # fixedpoint: the pool members a generation picks
+KEY_GENERATION = 4  # fixedpoint: each generation's seed, with its number
+KEY_GROWTH = 5      # growingnet: the growth kernel's seed
 
 
 def check_seed(seed: int) -> int:

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .rng import stream
+from .rng import KEY_MIX, KEY_T, stream
 
-# stream tags under a caller's master seed: InDegreeModel.sample draws
-# T on _TAG_T and the Poisson counts over it on _TAG_MIX, so a caller
-# can replay the T draws under a seed's counts from stream(seed, _TAG_T)
-_TAG_T = 1
-_TAG_MIX = 2
 # the largest mean numpy's Generator.poisson accepts; above it the draw
 # raises ValueError("lam value too large")
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -81,16 +76,17 @@ class InDegreeModel:
 
     def sample(self, n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
         """n counts, deterministic given seed, in out (a new int64
-        array when out is None), which is returned. T and the counts
-        are drawn _BLOCK values at a time: consecutive draws on one
-        stream give the same values as one draw of their total, so
-        the counts are the same integers at any block size, and the
-        temporaries are block-sized, not n-sized."""
+        array when out is None), which is returned. T is drawn on
+        stream(seed, KEY_T), where a caller can replay it, and the
+        counts on stream(seed, KEY_MIX), both _BLOCK values at a time:
+        consecutive draws on one stream give the same values as one
+        draw of their total, so the counts are the same integers at
+        any block size, and the temporaries are block-sized, not n-sized."""
         if out is None:
             out = np.empty(n, dtype=np.int64)
         elif out.shape != (n,) or out.dtype != np.int64:
             raise ParameterError(f"out must be an int64 array of shape ({n},)")
-        t_rng, mix_rng = stream(seed, _TAG_T), stream(seed, _TAG_MIX)
+        t_rng, mix_rng = stream(seed, KEY_T), stream(seed, KEY_MIX)
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             out[lo:hi] = mix_rng.poisson(self.tail.sample(hi - lo, t_rng))

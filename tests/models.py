@@ -10,13 +10,13 @@ exponential_lst is the simplest transform oracle for theory.solve_lst.
 import numpy as np
 
 from prtail.errors import ParameterError
-from prtail.rng import check_seed, stream
+from prtail.rng import KEY_MIX, KEY_T, check_seed, stream
 from prtail.rvmodel import TailSpec
 
 
 class PoissonInDegree:
     """Degenerate-T in-degree: N ~ Poisson(rate) with fixed rate, on
-    the stream InDegreeModel mixes with (tag 2)."""
+    the stream InDegreeModel mixes with (KEY_MIX)."""
 
     def __init__(self, rate):
         if not rate >= 0:
@@ -24,7 +24,7 @@ class PoissonInDegree:
         self.rate = rate
 
     def sample(self, n, seed, out=None):
-        return _into(out, stream(seed, 2).poisson(self.rate, n))
+        return _into(out, stream(seed, KEY_MIX).poisson(self.rate, n))
 
 
 class ConstantInDegree:
@@ -50,10 +50,10 @@ def _into(out, counts):
 
 def sample_t(spec: TailSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of T, deterministic given seed: the very T draws
-    under InDegreeModel(spec).sample(n, seed), on its stream (tag 1)."""
+    under InDegreeModel(spec).sample(n, seed), on its stream (KEY_T)."""
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
-    return spec.sample(n, stream(seed, 1))
+    return spec.sample(n, stream(seed, KEY_T))
 
 
 def exponential_lst(mean: float):

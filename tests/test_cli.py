@@ -576,6 +576,18 @@ def test_compare_warns_on_a_c_that_did_not_converge(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [warning]
 
 
+def test_compare_notes_name_the_c_of_each_unavailable_offset(tmp_path, capsys):
+    # at pool 1000 no table reaches into the quantile band, at any c
+    rc = main(
+        ["compare", "--c", "0.5,1e-5,0.9", "--pool", "1000", "--generations", "2", "--seed", "3",
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 0
+    reason = "CCDF supports do not overlap inside the quantile band (0.99, 0.9999)"
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    assert notes == [f"note: c={c}: offset unavailable ({reason})" for c in ("0.5", "1e-05", "0.9")]
+
+
 def test_compare_empty_grid_is_parameter_error(tmp_path):
     rc = main(["compare", "--c", " , ", "--pool", "1000", "--out", str(tmp_path / "o")])
     assert rc == 2

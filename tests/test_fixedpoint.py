@@ -19,7 +19,7 @@ from prtail.fixedpoint import (
     save_diagnostics,
     solve_r,
 )
-from prtail.rng import stream
+from prtail.rng import KEY_PICK, stream
 from prtail.rvmodel import InDegreeModel, TailSpec
 from prtail.tailstats import fit_tail_fraction
 
@@ -154,7 +154,7 @@ def _iterate_reference(pools, grid, ends, seed):
     counts = np.diff(ends, prepend=0)
     nxt = []
     for pool, params in zip(pools, grid):
-        idx = stream(seed, fixedpoint._TAG_PICK).integers(0, pool.size, size=int(counts.sum()))
+        idx = stream(seed, KEY_PICK).integers(0, pool.size, size=int(counts.sum()))
         seg = np.repeat(np.arange(pool.size), counts)
         sums = np.bincount(seg, weights=pool[idx], minlength=pool.size)
         nxt.append((params.c / params.d) * sums + (1.0 - params.c))
@@ -381,6 +381,21 @@ def test_solve_without_history_reraises_a_failed_draw(fail_at):
     _assert_fails_cleanly(ParameterError, "on purpose", GRID, model, pool_size=2000, generations=4, seed=17,
                           history=False)
     assert model.calls == fail_at
+
+
+def test_solve_derives_no_seed_before_its_generation(monkeypatch):
+    # the first draw fails, so a long solve stops before generation 2's
+    # seed is needed
+    derived = []
+
+    def counting_seed(seed, generation):
+        derived.append(generation)
+        return final_generation_seed(seed, generation)
+
+    monkeypatch.setattr(fixedpoint, "final_generation_seed", counting_seed)
+    model = _FailingModel(GRID[0].in_degree_model(), fail_at=1)
+    _assert_fails_cleanly(ParameterError, "on purpose", GRID, model, pool_size=2000, generations=10**5, seed=17)
+    assert len(derived) <= 2
 
 
 def test_solve_reraises_the_ks_rejection_of_a_nan_pool(monkeypatch):

@@ -1,6 +1,9 @@
 """Edge-list ingestion and PageRank power iteration."""
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,7 +193,7 @@ def test_parse_text_matches_load_of_its_file(text, keep_duplicates, tmp_path):
 def test_load_matches_line_loop_over_file(text, tmp_path):
     path = tmp_path / "edges.txt"
     path.write_bytes(text.encode("utf-8"))
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         expected = _outcome(_parse_reference, fh)
     assert _outcome(load_edge_list, path) == expected
 
@@ -209,6 +212,28 @@ def test_load_reads_its_file_once(tmp_path, monkeypatch):
     g = load_edge_list(path)
     assert opened == [path]
     assert g.original_ids.tolist() == [0, 1, 2, 3]
+
+
+def test_load_reads_utf8_under_an_ascii_locale(tmp_path):
+    # the non-ASCII comment sends the file to the line loop, which
+    # decodes it as UTF-8 whatever the locale's encoding is
+    text = "# caf\u00e9 graph\n10 500\n500 9999\n"
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    code = (
+        "import codecs, locale, sys\n"
+        "from prtail.graph import load_edge_list\n"
+        "print(codecs.lookup(locale.getpreferredencoding(False)).name)\n"
+        "g = load_edge_list(sys.argv[1])\n"
+        "print([g.n, g.src.tolist(), g.dst.tolist(), g.original_ids.tolist()])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graph_module.__file__)))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ascii", str(list(_outcome(parse_edge_list, text)))]
 
 
 def test_load_undecodable_file_is_parse_error(tmp_path):

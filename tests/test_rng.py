@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prtail.errors import ParameterError
+from prtail import rng
 from prtail.rng import check_seed, derive, kernel_seed, stream
 
 
@@ -60,3 +61,11 @@ def test_derived_seed_usable_as_master():
     child = derive(3, 2, 0)
     vals = stream(child, 1).random(10)
     assert vals.shape == (10,)
+
+
+def test_stream_keys_are_distinct():
+    # each consumer's streams lead with its own key, so no two consumers
+    # can draw from one stream
+    keys = {name: value for name, value in vars(rng).items() if name.startswith("KEY_")}
+    assert sorted(keys) == ["KEY_GENERATION", "KEY_GROWTH", "KEY_MIX", "KEY_PICK", "KEY_T"]
+    assert len(set(keys.values())) == len(keys)
