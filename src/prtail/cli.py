@@ -8,14 +8,14 @@ Subcommands:
 
 Every run that gets past its checks writes a manifest.json recording
 command, every parsed option but --out (pagerank records the graph's
-file name, compare the parsed c grid), library versions and the files
-written; identical parameters and seed reproduce every output file
+file name, compare the parsed c grid), library versions and, as its
+outputs, the files present in --out, which must name a new or an empty
+directory; identical parameters and seed reproduce every output file
 byte for byte. A run that fails after it has made its output directory
-records its error and exit code there too, with the files present as
-its outputs; a pagerank run that does not converge is one of them. An
-exception that maps to no exit code (a bug, a KeyboardInterrupt) is
-recorded as "Type: message" with a null exit code, and propagates.
---out must name a new or an empty directory. Exit codes: 0 success,
+records its error and exit code there too; a pagerank run that does
+not converge is one of them. An exception that maps to no exit code
+(a bug, a KeyboardInterrupt) is recorded as "Type: message" with a
+null exit code, and propagates. Exit codes: 0 success,
 2 parameter error or a run too large for memory, 3 I/O or parse
 error, 4 numeric non-convergence.
 """
@@ -80,9 +80,10 @@ def _exit_code(exc: BaseException) -> int | None:
     return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), None)
 
 
-def _write_manifest(args, outputs, recorded: dict, **status) -> None:
+def _write_manifest(args, recorded: dict, **status) -> None:
     """manifest.json of the run: every parsed option but --out, with
-    recorded's values in place of the parsed ones."""
+    recorded's values in place of the parsed ones, and the files present
+    in --out with the manifest itself as outputs."""
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     write_json(
         os.path.join(args.out, "manifest.json"),
@@ -95,7 +96,7 @@ def _write_manifest(args, outputs, recorded: dict, **status) -> None:
                 "numpy": numpy.__version__,
                 "scipy": scipy.__version__,
             },
-            "outputs": sorted(outputs),
+            "outputs": sorted(set(os.listdir(args.out)) | {"manifest.json"}),
             **status,
         },
     )
@@ -103,34 +104,27 @@ def _write_manifest(args, outputs, recorded: dict, **status) -> None:
 
 @contextlib.contextmanager
 def _run_record(args, **recorded):
-    """Make the run's output directory and yield output(name), which
-    returns the path of the file name there and lists it in the
-    manifest written when the block ends.
+    """Make the run's output directory and yield output(name), the path
+    of the file name there; when the block ends, the manifest lists the
+    files present in the directory as the run's outputs.
 
     A run that fails inside the block writes the manifest with its
-    error and exit code, and with the files present as outputs; an
-    exception outside _EXIT_CODES is recorded as "Type: message" with a
-    null exit code. The exception then propagates unchanged. An OSError
-    on that write is dropped, so the run's own error is what it reports.
+    error and exit code; an exception outside _EXIT_CODES is recorded
+    as "Type: message" with a null exit code. The exception then
+    propagates unchanged. An OSError on that write is dropped, so the
+    run's own error is what it reports.
     """
     os.makedirs(args.out, exist_ok=True)
-    outputs = ["manifest.json"]
-
-    def output(name: str) -> str:
-        outputs.append(name)
-        return os.path.join(args.out, name)
-
     try:
-        yield output
+        yield lambda name: os.path.join(args.out, name)
     except BaseException as exc:
         code = _exit_code(exc)
         # main prints a mapped error's message; any other names its type
         error = str(exc) if code is not None else f"{type(exc).__name__}: {exc}"
         with contextlib.suppress(OSError):
-            present = set(os.listdir(args.out)) | {"manifest.json"}
-            _write_manifest(args, present, recorded, error=error, exit_code=code)
+            _write_manifest(args, recorded, error=error, exit_code=code)
         raise
-    _write_manifest(args, outputs, recorded)
+    _write_manifest(args, recorded)
 
 
 def _save_tail_artifacts(values, table, prefix: str, output, fraction: float) -> None:
@@ -346,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_out(out: str) -> None:
     """Raise ParameterError when out is a directory that holds files:
-    a run there would leave them beside its own, unlisted."""
+    a run there would list them among its own outputs."""
     if os.path.isdir(out) and os.listdir(out):
         raise ParameterError(f"output directory {out!r} already holds files; choose a new or empty one")
 

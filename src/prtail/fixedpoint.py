@@ -130,7 +130,8 @@ _TOP_COUNT = 10
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Damping c, mean out-degree d, and tail index alpha of T."""
+    """Damping c, mean out-degree d, and tail index alpha of T; alpha
+    must exceed 1, the rule of the in-degree model's tail_spec_for_mean."""
 
     c: float
     d: float
@@ -145,9 +146,8 @@ class ModelParams:
             raise ParameterError(f"c must lie in (0, 1), got {self.c}")
         if not self.d > 1:
             raise ParameterError(f"d must exceed 1, got {self.d}")
-        if not self.alpha > 1:
-            raise ParameterError(f"alpha must exceed 1, got {self.alpha}")
-        # the in-degree model refuses T draws beyond numpy's Poisson limit
+        # the in-degree model refuses alpha <= 1 and T draws beyond
+        # numpy's Poisson limit
         self.in_degree_model()
 
     def in_degree_model(self) -> InDegreeModel:

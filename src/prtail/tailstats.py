@@ -157,18 +157,13 @@ def save_ccdf_loglog(table: CcdfTable, path) -> None:
 
 @dataclass(frozen=True)
 class TailFit:
-    """Hill/Newman fit of the CCDF index above x_min."""
+    """Hill/Newman fit of the CCDF index above x_min, as fit_tail_mle
+    builds it."""
 
     x_min: float
     alpha_ccdf: float
     n_tail: int
     stderr: float
-
-    def __post_init__(self):
-        if self.n_tail < 2:
-            raise ParameterError(f"n_tail must be at least 2, got {self.n_tail}")
-        if not self.alpha_ccdf > 0:
-            raise ParameterError(f"alpha_ccdf must be positive, got {self.alpha_ccdf}")
 
     @property
     def density_exponent(self) -> float:

@@ -121,21 +121,12 @@ def pareto_lst(spec: TailSpec):
 
 @dataclass(frozen=True)
 class LstGrid:
-    """Converged transform values r at log-spaced arguments s."""
+    """Converged transform values r at log-spaced arguments s, as
+    solve_lst builds them."""
 
     s: np.ndarray
     r: np.ndarray
-    sweeps: int = 0
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        if s.ndim != 1 or s.shape != r.shape or s.size < 2:
-            raise ParameterError("grid needs matching 1-d s and r arrays of length >= 2")
-        if s[0] <= 0 or np.any(np.diff(s) <= 0):
-            raise ParameterError("s must be positive and strictly increasing")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
+    sweeps: int
 
 
 def solve_lst(

@@ -497,12 +497,32 @@ def test_model_all_zero_top_counts_skips_n_fit(tmp_path, capsys):
     assert "skipping n tail fit" in capsys.readouterr().err
 
 
-def test_model_invalid_alpha_is_parameter_error(tmp_path):
+def test_manifest_lists_every_file_the_run_wrote(tmp_path, monkeypatch):
+    # a writer that leaves a file beside its own: the manifest lists the
+    # directory's files, not the names the command asked paths for
+    real = cli.save_diagnostics
+
+    def diagnostics_and_extra(rows, path):
+        real(rows, path)
+        with open(os.path.join(os.path.dirname(path), "extra.txt"), "w") as fh:
+            fh.write("extra\n")
+
+    monkeypatch.setattr(cli, "save_diagnostics", diagnostics_and_extra)
+    out = tmp_path / "out"
+    assert main(small_run("model", tmp_path) + ["--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert "error" not in manifest
+    assert "extra.txt" in manifest["outputs"]
+    assert manifest["outputs"] == sorted(os.listdir(out))
+
+
+def test_model_invalid_alpha_is_parameter_error(tmp_path, capsys):
     rc = main(
         ["model", "--c", "0.5", "--alpha", "1.0", "--pool", "1000", "--generations", "1",
          "--out", str(tmp_path / "o")]
     )
     assert rc == 2
+    assert capsys.readouterr().err == "error: alpha must exceed 1 for a finite mean, got 1.0\n"
 
 
 def test_model_non_finite_d_is_parameter_error(tmp_path, capsys):

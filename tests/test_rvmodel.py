@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from prtail import rvmodel
 from prtail.errors import ParameterError
+from prtail.fixedpoint import ModelParams
 from prtail.rng import stream
 from prtail.rvmodel import (
     InDegreeModel,
@@ -35,10 +36,19 @@ def test_pareto_scale_realizes_mean_by_quadrature():
     assert mean == pytest.approx(d, rel=1e-10)
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.9, 0.5])
-def test_pareto_scale_rejects_infinite_mean(alpha):
+# ModelParams takes its alpha rule from tail_spec_for_mean; at alpha 0
+# the rule also keeps the scale's division by alpha from running
+@pytest.mark.parametrize(
+    "build, alpha",
+    [pytest.param(tail_spec_for_mean, a, id=str(a)) for a in (1.0, 0.9, 0.5)]
+    + [
+        pytest.param(lambda a, d: ModelParams(c=0.5, d=d, alpha=a), a, id=f"ModelParams-{a}")
+        for a in (1.0, 0.5, 0.0)
+    ],
+)
+def test_pareto_scale_rejects_infinite_mean(build, alpha):
     with pytest.raises(ParameterError, match="finite mean"):
-        tail_spec_for_mean(alpha, 8.2)
+        build(alpha, 8.2)
 
 
 def test_tail_spec_validation():
